@@ -16,8 +16,8 @@
 //!   or quoted text, so rule patterns inside strings, raw strings and
 //!   comments never fire.
 //! - [`rules`]: the invariant catalogue — clock-discipline, unsafe-audit,
-//!   atomics-ordering, lock-hygiene, bounded-queues, panic-paths,
-//!   stdout-discipline — as data.
+//!   atomics-ordering, lock-hygiene, bounded-queues, bounded-recorders,
+//!   panic-paths, stdout-discipline — as data.
 //! - [`engine`]: file discovery, fragment-chain pattern matching,
 //!   suppression resolution, and `--json` rendering.
 //!

@@ -3,7 +3,8 @@
 //! Every rule here encodes a discipline the runtime's correctness already
 //! leans on but nothing previously enforced: VirtualClock determinism,
 //! the audited `unsafe` surface, justified relaxed atomics, poisoned-lock
-//! recovery, bounded admission, and panic-free hot paths. Rules are data
+//! recovery, bounded admission, bounded per-request recording, and
+//! panic-free hot paths. Rules are data
 //! (patterns + scopes + allowlists); the matching itself lives in
 //! [`crate::engine`].
 //!
@@ -207,6 +208,18 @@ pub fn rules() -> &'static [Rule] {
             check: Check::Forbid,
             message: "unbounded channel in the serve path; make it bounded or state the \
                       boundedness argument in a `vlite-allow` suppression",
+        },
+        Rule {
+            id: "bounded-recorders",
+            summary: "no unbounded per-request sample recorders (LatencyRecorder, SloTracker) in the serve path",
+            include_tests: true,
+            scope: &["crates/serve/src/"],
+            allow: &[],
+            patterns: &[word(&["LatencyRecorder"]), word(&["SloTracker"])],
+            check: Check::Forbid,
+            message: "exact-sample recorder in the serve path; its memory and report cost grow \
+                      with uptime — record into the obs plane's fixed-size instruments \
+                      (counters, StreamingHistogram) instead",
         },
         Rule {
             id: "panic-paths",

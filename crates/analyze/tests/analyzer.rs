@@ -62,6 +62,24 @@ fn kernel_dispatch_fires_outside_the_dispatcher_only() {
 }
 
 #[test]
+fn bounded_recorders_fire_in_the_serve_path_only() {
+    let source = include_str!("fixtures/bounded_recorders.rs");
+    let diags = scan("crates/serve/src/fixture_bounded_recorders.rs", source);
+    let found: Vec<(&str, usize)> = diags.iter().map(|d| (d.rule.as_str(), d.line)).collect();
+    // Only the real recorder fires; the quoted and commented copies never do.
+    assert_eq!(
+        found,
+        vec![("bounded-recorders", 15)],
+        "diagnostics: {diags:#?}"
+    );
+    // Experiment harnesses outside the serve path keep exact recorders.
+    assert!(
+        scan("crates/bench/src/fixture_bounded_recorders.rs", source).is_empty(),
+        "the rule is scoped to crates/serve/src/"
+    );
+}
+
+#[test]
 fn suppression_lifecycle_is_enforced() {
     let source = include_str!("fixtures/suppressions.rs");
     let mut diags = scan("crates/serve/src/fixture_suppressions.rs", source);

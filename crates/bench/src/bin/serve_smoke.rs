@@ -5,9 +5,7 @@
 //!
 //! Default mode sweeps the offered Poisson rate and reports achieved
 //! throughput, p50/p95/p99 search latency, SLO attainment, mean batch
-//! size, and admission shedding, then an observability-overhead section
-//! (the identical workload with the telemetry plane off vs on,
-//! `results/serve_obs.csv`), then a multi-tenant isolation section.
+//! size, and admission shedding, then a multi-tenant isolation section.
 //! Writes `results/serve_smoke.csv` and `results/serve_tenants.csv`.
 //!
 //! With `--ttft` it runs the co-scheduled sweep only: the same open-loop
@@ -99,23 +97,11 @@ fn real_config() -> RealConfig {
 }
 
 /// One single-tenant open-loop point: returns the achieved rate and the
-/// final report. The telemetry plane runs in its default (enabled) state.
+/// final report.
 fn run_rate(corpus: &SyntheticCorpus, rate: f64, n_requests: usize) -> (f64, ServeReport) {
-    run_rate_obs(corpus, rate, n_requests, true)
-}
-
-/// The same open-loop point with the telemetry plane toggled explicitly:
-/// the obs-overhead comparison runs it both ways on the same workload.
-fn run_rate_obs(
-    corpus: &SyntheticCorpus,
-    rate: f64,
-    n_requests: usize,
-    obs_enabled: bool,
-) -> (f64, ServeReport) {
     let mut config = ServeConfig::small();
     config.real = real_config();
     config.queue_capacity = 512;
-    config.obs.enabled = obs_enabled;
     let server = RagServer::start(corpus, config).expect("server starts");
     let mut source = RotatingQuerySource::from_corpus(corpus, 11);
     let outcome = run_open_loop(&server, &mut source, rate, n_requests, 17, |_, _| {});
@@ -128,8 +114,8 @@ fn run_rate_obs(
 
 /// The same open-loop point with the trace plane toggled explicitly: the
 /// trace-overhead comparison runs it both ways on the same workload. The
-/// obs plane stays in its default (enabled) state either way, so the A/B
-/// isolates the *tracing* cost — span trees, stage timers, watchdog.
+/// always-on obs plane records either way, so the A/B isolates the
+/// *tracing* cost — span trees, stage timers, watchdog.
 fn run_rate_trace(
     corpus: &SyntheticCorpus,
     rate: f64,
@@ -699,11 +685,10 @@ fn gate(baseline_path: &str) {
                 (report.ttft.p99, report.ttft_attainment)
             }
             "obs_overhead" => {
-                // The telemetry plane enabled (its default): the budget
-                // bounds the p99 of a fully-instrumented run, so a
-                // regression that puts a lock or allocation on the obs
-                // hot path trips this row.
-                let (_, report) = run_rate_obs(&corpus, row.rate, 600, true);
+                // The always-on telemetry plane: the budget bounds the p99
+                // of a fully-instrumented run, so a regression that puts a
+                // lock or allocation on the obs hot path trips this row.
+                let (_, report) = run_rate(&corpus, row.rate, 600);
                 assert!(
                     report.completed > 0,
                     "obs-overhead gate run must complete requests"
@@ -893,39 +878,6 @@ fn sweep() {
     println!("On-demand batching absorbs queueing as the offered rate crosses the");
     println!("service capacity: batch size grows, per-query latency stays bounded by");
     println!("the batch scan, and admission control sheds load past the queue bound.");
-
-    // Observability overhead: the identical workload with the telemetry
-    // plane off, then on. The plane's hot path is sharded atomics and
-    // log-bucketed histograms — the comparison documents that always-on
-    // telemetry is not a tail-latency tax (the `obs_overhead` gate row
-    // pins the obs-on p99 in CI).
-    println!("\nobservability overhead: telemetry plane off vs on at 500 req/s");
-    let mut obs_table = Table::new(vec![
-        "telemetry",
-        "achieved (req/s)",
-        "search p50",
-        "search p99",
-        "SLO attainment",
-    ]);
-    let mut obs_p99 = [0.0f64; 2];
-    for (i, (label, enabled)) in [("off", false), ("on", true)].into_iter().enumerate() {
-        let (achieved, report) = run_rate_obs(&corpus, 500.0, 1_000, enabled);
-        obs_p99[i] = report.search.p99;
-        obs_table.row(vec![
-            label.to_string(),
-            format!("{achieved:.0}"),
-            fmt_seconds(report.search.p50),
-            fmt_seconds(report.search.p99),
-            format!("{:.1}%", 100.0 * report.slo_attainment),
-        ]);
-    }
-    println!("{}", obs_table.render());
-    write_csv("serve_obs.csv", &obs_table.to_csv());
-    println!(
-        "obs-on p99 {} vs obs-off {}: recording is lock-free on the request path.",
-        fmt_seconds(obs_p99[1]),
-        fmt_seconds(obs_p99[0])
-    );
 
     // Multi-tenant isolation: a steady light tenant (weight 1) shares the
     // server with a heavy tenant (weight 4) offered far past capacity. The

@@ -20,8 +20,9 @@
 //!   `[1ns, ~1100s]` with underflow/overflow buckets; percentile queries
 //!   return a bucket upper bound, so the relative error against the exact
 //!   sample is at most [`StreamingHistogram::relative_error_bound`]
-//!   (`2^(1/B) − 1`, ≈ 9.05% at `B = 8`). Histograms merge associatively,
-//!   so per-thread shards can be folded into one digest.
+//!   (`2^(1/B) − 1`, ≈ 9.05% at `B = 8`), while count, sum, min and max
+//!   are kept exactly ([`StreamingHistogram::summary`]). Histograms merge
+//!   associatively, so per-thread shards can be folded into one digest.
 //!
 //! # Examples
 //!
@@ -39,6 +40,8 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use crate::Summary;
 
 /// Shards per [`Counter`]; a power of two so shard selection is a mask.
 const COUNTER_SHARDS: usize = 16;
@@ -167,10 +170,12 @@ const FLOOR_SECONDS: f64 = 1e-9;
 pub struct StreamingHistogram {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
-    /// Total of all samples, in nanoseconds (saturating).
-    sum_nanos: AtomicU64,
-    /// Largest sample, in nanoseconds.
-    max_nanos: AtomicU64,
+    /// Total of all samples, in seconds (`f64` bits).
+    sum_bits: AtomicU64,
+    /// Smallest sample, in seconds (`f64` bits; `+∞` when empty).
+    min_bits: AtomicU64,
+    /// Largest sample, in seconds (`f64` bits).
+    max_bits: AtomicU64,
 }
 
 impl Default for StreamingHistogram {
@@ -185,8 +190,9 @@ impl StreamingHistogram {
         Self {
             buckets: (0..N_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
-            sum_nanos: AtomicU64::new(0),
-            max_nanos: AtomicU64::new(0),
+            sum_bits: AtomicU64::new(0.0f64.to_bits()),
+            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+            max_bits: AtomicU64::new(0.0f64.to_bits()),
         }
     }
 
@@ -224,43 +230,36 @@ impl StreamingHistogram {
     /// clamped into the underflow/overflow buckets rather than panicking:
     /// this is an always-on observability path, not an experiment harness.
     pub fn record(&self, seconds: f64) {
-        let s = if seconds.is_finite() {
-            seconds.max(0.0)
-        } else {
+        // Clamped non-negative (never `-0.0`), so the `f64` bit patterns
+        // order like the values and min/max are integer fetch_min/max.
+        let s = if !seconds.is_finite() {
             f64::INFINITY
+        } else if seconds > 0.0 {
+            seconds
+        } else {
+            0.0
         };
         let idx = if s.is_finite() {
             Self::bucket_index(s)
         } else {
             N_BUCKETS - 1
         };
-        let nanos = if s.is_finite() {
-            (s * 1e9).round().min(u64::MAX as f64) as u64
-        } else {
-            u64::MAX
-        };
         // relaxed: each field is an independent tally; readers tolerate a
-        // bucket/count/sum triple that tears across concurrent records.
+        // bucket/count/sum/min/max set that tears across concurrent records.
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        // Saturating sum: one pathological sample must not wrap the total.
-        let mut prev = self.sum_nanos.load(Ordering::Relaxed);
-        loop {
-            let next = prev.saturating_add(nanos);
-            // relaxed: the CAS only needs atomicity of this one word; the
-            // sum orders nothing else.
-            match self.sum_nanos.compare_exchange_weak(
-                prev,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => prev = actual,
-            }
+        add_f64(&self.sum_bits, s);
+        // relaxed: single-word running min/max, same tally discipline. A
+        // plain load first: once warmed up nearly every sample lies inside
+        // [min, max], and a stale load only errs toward the RMW.
+        let bits = s.to_bits();
+        if bits < self.min_bits.load(Ordering::Relaxed) {
+            self.min_bits.fetch_min(bits, Ordering::Relaxed);
         }
-        // relaxed: single-word running maximum, same tally discipline.
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        // relaxed: as above, for the running max.
+        if bits > self.max_bits.load(Ordering::Relaxed) {
+            self.max_bits.fetch_max(bits, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded samples.
@@ -274,37 +273,51 @@ impl StreamingHistogram {
         self.count() == 0
     }
 
-    /// Total of all samples, in seconds (saturating at ~584 years).
+    /// Total of all samples, in seconds.
     pub fn sum_seconds(&self) -> f64 {
         // relaxed: monotone tally read; staleness is acceptable.
-        self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
+        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
+    }
+
+    /// Smallest recorded sample, in seconds (`0.0` when empty).
+    pub fn min_seconds(&self) -> f64 {
+        // relaxed: running-min read; staleness is acceptable.
+        let min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
+        if self.is_empty() {
+            0.0
+        } else {
+            min
+        }
     }
 
     /// Largest recorded sample, in seconds (`0.0` when empty).
     pub fn max_seconds(&self) -> f64 {
         // relaxed: monotone running-max read; staleness is acceptable.
-        let nanos = self.max_nanos.load(Ordering::Relaxed);
-        if nanos == u64::MAX {
-            f64::INFINITY
-        } else {
-            nanos as f64 / 1e9
-        }
+        f64::from_bits(self.max_bits.load(Ordering::Relaxed))
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`) by nearest rank over a snapshot
     /// of the buckets, or `0.0` when empty. The answer is the containing
-    /// bucket's upper bound (the tracked maximum for the overflow bucket),
-    /// so it errs high by at most
-    /// [`relative_error_bound`](Self::relative_error_bound).
+    /// bucket's upper bound clamped to the exact `[min, max]`, so it errs
+    /// high by at most [`relative_error_bound`](Self::relative_error_bound).
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn percentile(&self, q: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "quantile must be in [0,1], got {q}"
-        );
+        self.quantiles([q])[0]
+    }
+
+    /// [`percentile`](Self::percentile) for several quantiles over one
+    /// bucket snapshot, so the answers are mutually consistent even while
+    /// writers keep recording.
+    fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        for q in qs {
+            assert!(
+                (0.0..=1.0).contains(&q),
+                "quantile must be in [0,1], got {q}"
+            );
+        }
         // relaxed: the percentile is already approximate; a snapshot that
         // tears across buckets shifts the answer by at most the in-flight
         // samples, which the error bound documents.
@@ -315,26 +328,54 @@ impl StreamingHistogram {
             .collect();
         let total: u64 = snapshot.iter().sum();
         if total == 0 {
-            return 0.0;
+            return [0.0; N];
         }
-        let rank = (q * (total as f64 - 1.0)).round() as u64;
-        let mut cumulative = 0u64;
-        for (i, &n) in snapshot.iter().enumerate() {
-            cumulative += n;
-            if cumulative > rank {
-                return if i == N_BUCKETS - 1 {
-                    self.max_seconds()
-                } else {
-                    Self::bucket_bound(i)
-                };
+        let (min, max) = (self.min_seconds(), self.max_seconds());
+        qs.map(|q| {
+            let rank = (q * (total as f64 - 1.0)).round() as u64;
+            let mut cumulative = 0u64;
+            let bound = snapshot
+                .iter()
+                .position(|&n| {
+                    cumulative += n;
+                    cumulative > rank
+                })
+                .filter(|&i| i < N_BUCKETS - 1)
+                .map_or(max, Self::bucket_bound);
+            // A record racing this read can leave min above max for a
+            // moment; clamp only a consistent pair.
+            if min <= max {
+                bound.clamp(min, max)
+            } else {
+                bound
             }
+        })
+    }
+
+    /// The distribution as a [`Summary`]: count, mean, min and max are
+    /// exact; the percentiles err high by at most
+    /// [`relative_error_bound`](Self::relative_error_bound).
+    pub fn summary(&self) -> Summary {
+        let count = self.count();
+        if count == 0 {
+            return Summary::default();
         }
-        self.max_seconds()
+        let [p50, p90, p95, p99] = self.quantiles([0.5, 0.9, 0.95, 0.99]);
+        Summary {
+            count: count as usize,
+            mean: self.sum_seconds() / count as f64,
+            min: self.min_seconds(),
+            max: self.max_seconds(),
+            p50,
+            p90,
+            p95,
+            p99,
+        }
     }
 
     /// Folds another histogram into this one (bucket-wise addition).
-    /// Merging is commutative and associative up to the saturating sum, so
-    /// per-thread shards can be reduced in any grouping.
+    /// Merging is commutative and associative up to float round-off in
+    /// the sum, so per-thread shards can be reduced in any grouping.
     pub fn merge_from(&self, other: &StreamingHistogram) {
         // relaxed: bucket-wise tally fold; both sides tolerate in-flight
         // records, so no ordering relates the fields.
@@ -347,24 +388,12 @@ impl StreamingHistogram {
         // relaxed: as above — independent tallies.
         self.count
             .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        let other_sum = other.sum_nanos.load(Ordering::Relaxed);
-        let mut prev = self.sum_nanos.load(Ordering::Relaxed);
-        loop {
-            let next = prev.saturating_add(other_sum);
-            // relaxed: single-word saturating-sum CAS, as in record().
-            match self.sum_nanos.compare_exchange_weak(
-                prev,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => prev = actual,
-            }
-        }
-        // relaxed: single-word running maximum, same tally discipline.
-        self.max_nanos
-            .fetch_max(other.max_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
+        add_f64(&self.sum_bits, other.sum_seconds());
+        // relaxed: single-word running min/max, same tally discipline.
+        self.min_bits
+            .fetch_min(other.min_bits.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.max_bits
+            .fetch_max(other.max_bits.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Snapshot of the non-empty buckets as `(upper_bound_seconds,
@@ -385,6 +414,15 @@ impl StreamingHistogram {
         }
         out
     }
+}
+
+/// Adds `x` to the `f64` whose bits `cell` holds.
+fn add_f64(cell: &AtomicU64, x: f64) {
+    // relaxed: the CAS loop only needs atomicity of this one word; the
+    // sum orders nothing else.
+    let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+        Some((f64::from_bits(bits) + x).to_bits())
+    });
 }
 
 #[cfg(test)]
@@ -447,7 +485,8 @@ mod tests {
         h.record(0.0);
         h.record(1e-12);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.percentile(1.0), 1e-9);
+        // The underflow bucket's 1ns bound, clamped to the exact maximum.
+        assert_eq!(h.percentile(1.0), 1e-12);
     }
 
     #[test]

@@ -6,7 +6,9 @@ use crate::fmt_seconds;
 
 /// Compact digest of a sample distribution, all values in seconds.
 ///
-/// Produced by [`LatencyRecorder::summary`](crate::LatencyRecorder::summary).
+/// Produced by [`LatencyRecorder::summary`](crate::LatencyRecorder::summary)
+/// (exact) and [`StreamingHistogram::summary`](crate::obs::StreamingHistogram::summary)
+/// (exact count/mean/min/max, bounded percentiles).
 ///
 /// # Examples
 ///

@@ -4,6 +4,8 @@
 //! - every percentile answer errs **high** and by at most the documented
 //!   relative bound `2^(1/B) − 1` (both sides use nearest-rank, so they
 //!   pick the same underlying sample);
+//! - a [`StreamingHistogram::summary`] has the exact count, mean, min and
+//!   max, and percentiles within that bound;
 //! - sharded histograms merge associatively, so per-thread shards can be
 //!   folded in any grouping;
 //! - concurrent recording from many threads loses no samples (the
@@ -38,6 +40,9 @@ proptest! {
         samples in prop::collection::vec(0.000_001f64..10.0, 1..200),
     ) {
         let (hist, mut exact) = build(&samples);
+        // Summarized before any percentile query sorts the samples, so the
+        // exact mean sums in recording order, as the histogram does.
+        let truth_summary = exact.summary();
         let err = StreamingHistogram::relative_error_bound();
         for q in [0.0, 0.5, 0.9, 0.95, 0.99, 1.0] {
             let truth = exact.percentile(q);
@@ -52,6 +57,17 @@ proptest! {
                  than the {err:.4} bucket bound"
             );
         }
+        // The summary's count, mean, min and max are exact; its
+        // percentiles are the bounded answers checked above.
+        let (got, truth) = (hist.summary(), truth_summary);
+        prop_assert_eq!(
+            (got.count, got.mean, got.min, got.max),
+            (truth.count, truth.mean, truth.min, truth.max)
+        );
+        prop_assert_eq!(
+            [got.p50, got.p90, got.p95, got.p99],
+            [0.5, 0.9, 0.95, 0.99].map(|q| hist.percentile(q))
+        );
     }
 
     #[test]
@@ -61,8 +77,6 @@ proptest! {
         let (hist, exact) = build(&samples);
         prop_assert_eq!(hist.count(), exact.len() as u64);
         let truth: f64 = samples.iter().sum();
-        // Sum is kept in integer nanoseconds: half an ns of round-off per
-        // sample.
         prop_assert!((hist.sum_seconds() - truth).abs() <= samples.len() as f64 * 1e-9);
     }
 

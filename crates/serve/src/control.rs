@@ -299,9 +299,9 @@ mod tests {
     use crate::obs::{BoundedRing, ObsConfig, ObsPlane};
     use crate::queue::AdmissionQueue;
     use crate::request::Job;
-    use crate::server::{PlacementState, ServeMetrics, Shared};
+    use crate::server::{PlacementState, Shared};
     use std::sync::atomic::AtomicU64;
-    use std::sync::{Mutex, RwLock};
+    use std::sync::RwLock;
     use vlite_core::{RealConfig, RealDeployment, UpdateConfig};
     use vlite_workload::{CorpusConfig, SyntheticCorpus};
 
@@ -370,12 +370,11 @@ mod tests {
                 generation: 0,
             }),
             queue: AdmissionQueue::new(&tenants),
-            metrics: Mutex::new(ServeMetrics::new(real.slo_search, None, &tenants)),
             worker_panics: AtomicU64::new(0),
+            obs: Arc::new(ObsPlane::new(&ObsConfig::default(), tenants.len())),
             tenants,
             repartitions: BoundedRing::new(1024),
             migrations: BoundedRing::new(1024),
-            obs: Arc::new(ObsPlane::new(&ObsConfig::default())),
             store: None,
             blocked_scans: true,
             nprobe: real.nprobe,
@@ -602,8 +601,7 @@ mod tests {
             other => panic!("wrong admission error: {other:?}"),
         }
         assert_eq!(
-            crate::sync::lock_recover(&shared.metrics).deadline_sheds
-                [crate::obs::DEADLINE_STAGE_ADMISSION],
+            shared.obs.deadline_sheds[crate::obs::DEADLINE_STAGE_ADMISSION].get(),
             1
         );
         assert!(
@@ -624,8 +622,7 @@ mod tests {
             .shed_if_unmeetable(TenantId(0), None, t0)
             .expect("unbudgeted submissions always admit");
         assert_eq!(
-            crate::sync::lock_recover(&shared.metrics).deadline_sheds
-                [crate::obs::DEADLINE_STAGE_ADMISSION],
+            shared.obs.deadline_sheds[crate::obs::DEADLINE_STAGE_ADMISSION].get(),
             1,
             "only the unmeetable budget shed"
         );
@@ -649,8 +646,7 @@ mod tests {
             .shed_if_unmeetable(TenantId(0), Some(wait / 100.0), t0)
             .expect("measure-only policies never shed");
         assert_eq!(
-            crate::sync::lock_recover(&shared.metrics).deadline_sheds
-                [crate::obs::DEADLINE_STAGE_ADMISSION],
+            shared.obs.deadline_sheds[crate::obs::DEADLINE_STAGE_ADMISSION].get(),
             0
         );
     }

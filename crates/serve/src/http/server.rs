@@ -509,15 +509,11 @@ fn healthz(inner: &FrontendInner) -> Json {
         ),
         (
             "completed".into(),
-            Json::Num(inner.server.obs().completed.get() as f64),
+            Json::Num(inner.server.obs().totals.completed.get() as f64),
         ),
         (
             "worker_panics".into(),
             Json::Num(inner.server.worker_panics() as f64),
-        ),
-        (
-            "obs_enabled".into(),
-            Json::Bool(inner.server.obs().enabled()),
         ),
     ])
 }

@@ -63,8 +63,9 @@
 //!   `GET /v1/traces`, `GET /v1/events`, `GET /v1/tenants` and
 //!   `GET /healthz` over `std::net::TcpListener`, thread-per-connection
 //!   with keep-alive.
-//! - [`obs`] — the always-on telemetry plane ([`ObsPlane`]): lock-free
-//!   live counters and stage histograms, per-request trace timelines
+//! - [`obs`] — the always-on telemetry plane ([`ObsPlane`]): the single
+//!   record of every completed request in lock-free counters and stage
+//!   histograms (server-wide and per tenant), per-request trace timelines
 //!   ([`RequestTrace`]), and the bounded unified event journal behind the
 //!   three observability endpoints.
 //! - [`loadgen`] — open-loop Poisson load generation with a rotating-hot-set
@@ -72,7 +73,8 @@
 //!   process or over the HTTP frontend's socket.
 //! - [`ServeReport`] — percentile latencies, SLO attainment, admission and
 //!   repartition accounting for benches and figures, with a per-tenant
-//!   breakdown ([`TenantReport`]).
+//!   breakdown ([`TenantReport`]), read lock-free from the telemetry
+//!   plane's instruments.
 //!
 //! # Examples
 //!

@@ -1,16 +1,14 @@
-//! The always-on telemetry plane (`vlite-obs`).
-//!
-//! Every per-request measurement the runtime takes also funnels through
-//! one `Mutex<ServeMetrics>` — exact, but a global lock on the hot path
-//! and only queryable as an end-of-run [`ServeReport`](crate::ServeReport)
-//! snapshot. This module is the *live* counterpart, built from the
-//! lock-free instruments in [`vlite_metrics::obs`]:
+//! The always-on telemetry plane (`vlite-obs`): the single record of
+//! every request the runtime serves, built from the lock-free instruments
+//! in [`vlite_metrics::obs`]:
 //!
 //! - [`ObsPlane`] — sharded atomic counters and log-bucketed streaming
-//!   histograms for every pipeline stage, recorded by the dispatcher,
-//!   generation worker and admission path without taking any global lock,
-//!   and readable at any moment (the `GET /v1/metrics` Prometheus
-//!   exposition) while the runtime keeps serving.
+//!   histograms for every pipeline stage, kept for the whole server and
+//!   per tenant ([`Outcomes`]), recorded by the dispatcher, generation
+//!   worker and admission path without taking any global lock, and
+//!   readable at any moment while the runtime keeps serving: the
+//!   `GET /v1/metrics` Prometheus exposition and
+//!   [`ServeReport`](crate::ServeReport) both read it.
 //! - [`RequestTrace`] — a per-request timeline of stage spans (queue →
 //!   search → gen-queue → prefill → first token → decode) assembled from
 //!   the existing [`RequestTimings`], kept in a bounded ring of recent
@@ -23,10 +21,11 @@
 //!   the trace and journal stores, also capping the repartition/migration
 //!   histories that previously grew without bound.
 //!
-//! The plane is deliberately *additive*: the exact mutex-guarded metrics
-//! remain the source of truth for [`ServeReport`](crate::ServeReport)
-//! (tests pin its exact values), while the plane answers the same totals
-//! lock-free — and a test asserts the two agree.
+//! Each completed request is recorded exactly once, by one
+//! [`ObsPlane::on_request`] call. Counts, SLO attainment, hit-rate means
+//! and deadline counters read back exactly; latency percentiles carry the
+//! histograms' [`relative_error_bound`](StreamingHistogram::relative_error_bound).
+//! Memory is fixed at construction, whatever the uptime.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,10 +39,6 @@ use crate::request::{RequestTimings, TenantId};
 /// Telemetry-plane knobs ([`ServeConfig::obs`](crate::ServeConfig)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
-    /// Master switch. Disabled, every hook is an early return (the
-    /// `serve_smoke` obs-on-vs-off comparison measures the difference) and
-    /// the endpoints serve empty/zero data.
-    pub enabled: bool,
     /// Capacity of the recent-trace ring.
     pub recent_traces: usize,
     /// Capacity of the slow-trace ring (kept separately so a flood of
@@ -65,7 +60,6 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             recent_traces: 256,
             slow_traces: 64,
             slow_threshold_s: 0.25,
@@ -366,79 +360,85 @@ pub const BURN_STAGE_GENERATION: usize = 2;
 /// constants.
 pub const BURN_STAGES: [&str; 3] = ["queue", "search", "generation"];
 
-/// The live telemetry plane: one instance per server, shared by every
-/// runtime thread. All counter/histogram recording is lock-free
-/// ([`vlite_metrics::obs`]); only trace/journal capture takes a (short,
-/// dedicated) ring mutex. Every hook is an early return when the plane is
-/// disabled.
-#[derive(Debug)]
-pub struct ObsPlane {
-    enabled: bool,
-    slow_threshold_s: f64,
-    /// Requests admitted into a queue (mirrors `QueueStats::admitted`).
-    pub admitted: Counter,
-    /// Requests rejected by a full tenant queue (mirrors
-    /// `QueueStats::rejected`).
-    pub rejected: Counter,
-    /// Requests whose lifecycle ended (mirrors `ServeMetrics::completed`).
+/// Scale of the fixed-point hit-rate sum: one unit is 1e-9 of a hit.
+const HIT_RATE_SCALE: f64 = 1e9;
+
+/// One request whose lifecycle ended, as [`ObsPlane::on_request`]
+/// records it.
+#[derive(Debug, Clone, Copy)]
+pub struct Completion<'a> {
+    /// Request id (assigned at admission).
+    pub id: u64,
+    /// The submitting tenant.
+    pub tenant: TenantId,
+    /// Admission instant, nanoseconds on the server's clock.
+    pub admitted_ns: u64,
+    /// The timings delivered with the response.
+    pub timings: &'a RequestTimings,
+    /// Fraction of the request's probes served by the fast tier.
+    pub hit_rate: f64,
+    /// Whether the search stage met the global `slo_search`.
+    pub search_met: bool,
+    /// Whether the search stage met the tenant's own `slo_search`.
+    pub tenant_search_met: bool,
+    /// Whether TTFT met `slo_ttft`: `None` on retrieval-only servers,
+    /// `Some(false)` for sheds.
+    pub ttft_met: Option<bool>,
+    /// Whether generation admission shed the request (served
+    /// retrieval-only).
+    pub shed: bool,
+    /// The request's budget in seconds and whether the response met its
+    /// deadline; `None` for unbudgeted requests.
+    pub deadline: Option<(f64, bool)>,
+}
+
+/// The completion instruments of one population of requests: the whole
+/// server ([`ObsPlane::totals`]) or one tenant ([`ObsPlane::tenants`]).
+/// [`ServeReport`](crate::ServeReport) and
+/// [`TenantReport`](crate::TenantReport) are read from these.
+#[derive(Debug, Default)]
+pub struct Outcomes {
+    /// Requests whose lifecycle ended (delivered or shed).
     pub completed: Counter,
-    /// Requests shed by KV-aware generation admission.
+    /// Requests shed by generation admission (KV-aware or
+    /// deadline-aware).
     pub gen_sheds: Counter,
-    /// Batches launched.
-    pub batches: Counter,
-    /// Requests absorbed into batches.
-    pub batched_requests: Counter,
-    /// Requests whose search stage missed its SLO.
+    /// Requests whose search stage missed its SLO: the global
+    /// `slo_search` in the totals, the tenant's own in a tenant's slice.
     pub search_slo_breaches: Counter,
     /// Requests whose TTFT missed `slo_ttft` (sheds included).
     pub ttft_slo_breaches: Counter,
-    /// Requests shed on deadline grounds, indexed like
-    /// [`DEADLINE_STAGES`].
-    pub deadline_sheds: [Counter; 3],
-    /// Requests whose probe list was shrunk to fit the remaining budget
-    /// (rung 3 of the degradation ladder).
-    pub degraded_probes: Counter,
-    /// Requests whose cold-tier (CPU) probes were skipped because only the
-    /// fast tier fit the remaining budget (rung 4).
-    pub cold_skips: Counter,
+    /// Sum of the requests' hit rates, in units of `1 / HIT_RATE_SCALE`.
+    hit_rate_sum: Counter,
     /// Stage latency histograms, indexed like [`STAGES`].
-    stage_hist: [StreamingHistogram; 7],
-    /// Budget-burn ratio histograms (stage seconds over budget seconds),
-    /// indexed like [`BURN_STAGES`].
-    burn_hist: [StreamingHistogram; 3],
-    recent: BoundedRing<RequestTrace>,
-    slow: BoundedRing<RequestTrace>,
-    journal: BoundedRing<ObsEvent>,
+    stages: [StreamingHistogram; 7],
 }
 
-impl ObsPlane {
-    /// Builds the plane from its config.
-    pub fn new(config: &ObsConfig) -> Self {
-        Self {
-            enabled: config.enabled,
-            slow_threshold_s: config.slow_threshold_s,
-            admitted: Counter::new(),
-            rejected: Counter::new(),
-            completed: Counter::new(),
-            gen_sheds: Counter::new(),
-            batches: Counter::new(),
-            batched_requests: Counter::new(),
-            search_slo_breaches: Counter::new(),
-            ttft_slo_breaches: Counter::new(),
-            deadline_sheds: std::array::from_fn(|_| Counter::new()),
-            degraded_probes: Counter::new(),
-            cold_skips: Counter::new(),
-            stage_hist: std::array::from_fn(|_| StreamingHistogram::new()),
-            burn_hist: std::array::from_fn(|_| StreamingHistogram::new()),
-            recent: BoundedRing::new(config.recent_traces),
-            slow: BoundedRing::new(config.slow_traces),
-            journal: BoundedRing::new(config.journal_capacity),
+impl Outcomes {
+    fn record(&self, c: &Completion<'_>, search_met: bool) {
+        let t = c.timings;
+        self.completed.inc();
+        // Indexed like STAGES.
+        self.stages[0].record(t.queue);
+        self.stages[1].record(t.search);
+        self.stages[2].record(t.e2e);
+        if let Some(gen) = &t.generation {
+            self.stages[3].record(gen.ttft);
+            self.stages[4].record(gen.gen_queue);
+            self.stages[5].record(gen.prefill);
+            self.stages[6].record(gen.decode);
         }
-    }
-
-    /// Whether the plane records anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
+        if !search_met {
+            self.search_slo_breaches.inc();
+        }
+        if c.ttft_met == Some(false) {
+            self.ttft_slo_breaches.inc();
+        }
+        if c.shed {
+            self.gen_sheds.inc();
+        }
+        self.hit_rate_sum
+            .add((c.hit_rate * HIT_RATE_SCALE).round() as u64);
     }
 
     /// The stage histogram for `stage` (one of `queue`, `search`, `e2e`,
@@ -447,73 +447,168 @@ impl ObsPlane {
         STAGES
             .iter()
             .position(|&s| s == stage)
-            .map(|i| &self.stage_hist[i])
+            .map(|i| &self.stages[i])
     }
 
-    /// [`ObsPlane::stage`] for the fixed stage names used internally.
-    fn hist(&self, stage: &str) -> &StreamingHistogram {
+    /// [`Outcomes::stage`] for the fixed stage names used internally.
+    pub(crate) fn hist(&self, stage: &str) -> &StreamingHistogram {
         self.stage(stage).expect("known stage name")
+    }
+
+    /// `total` per completed request (`0.0` when none completed).
+    fn per_request(&self, total: impl FnOnce(u64) -> f64) -> f64 {
+        match self.completed.get() {
+            0 => 0.0,
+            n => total(n) / n as f64,
+        }
+    }
+
+    /// Fraction of completed requests whose search stage met its SLO.
+    pub fn search_attainment(&self) -> f64 {
+        self.per_request(|n| n.saturating_sub(self.search_slo_breaches.get()) as f64)
+    }
+
+    /// Fraction of completed requests whose TTFT met `slo_ttft` (sheds
+    /// count as misses). Meaningful only on co-scheduled servers.
+    pub fn ttft_attainment(&self) -> f64 {
+        self.per_request(|n| n.saturating_sub(self.ttft_slo_breaches.get()) as f64)
+    }
+
+    /// Mean hit rate over completed requests, exact to 1e-9.
+    pub fn mean_hit_rate(&self) -> f64 {
+        self.per_request(|_| self.hit_rate_sum.get() as f64 / HIT_RATE_SCALE)
+    }
+}
+
+/// The live telemetry plane: one instance per server, shared by every
+/// runtime thread. All counter/histogram recording is lock-free
+/// ([`vlite_metrics::obs`]); only trace/journal capture takes a (short,
+/// dedicated) ring mutex.
+#[derive(Debug)]
+pub struct ObsPlane {
+    slow_threshold_s: f64,
+    /// Requests admitted into a queue (mirrors `QueueStats::admitted`).
+    pub admitted: Counter,
+    /// Requests rejected by a full tenant queue (mirrors
+    /// `QueueStats::rejected`).
+    pub rejected: Counter,
+    /// Every completed request, judged against the global SLOs.
+    pub totals: Outcomes,
+    /// Completed requests per tenant, indexed by [`TenantId`].
+    tenants: Vec<Outcomes>,
+    /// Batches launched.
+    pub batches: Counter,
+    /// Requests absorbed into batches.
+    pub batched_requests: Counter,
+    /// Largest batch absorbed in one launch.
+    max_batch: AtomicU64,
+    /// Requests shed on deadline grounds, indexed like
+    /// [`DEADLINE_STAGES`].
+    pub deadline_sheds: [Counter; 3],
+    /// Budgeted requests that finished (or were shed by generation
+    /// admission) on or before their deadline.
+    pub deadline_met: Counter,
+    /// Budgeted requests that finished (or were shed by generation
+    /// admission) past their deadline.
+    pub deadline_missed: Counter,
+    /// Requests whose probe list was shrunk to fit the remaining budget
+    /// (rung 3 of the degradation ladder).
+    pub degraded_probes: Counter,
+    /// Requests whose cold-tier (CPU) probes were skipped because only the
+    /// fast tier fit the remaining budget (rung 4).
+    pub cold_skips: Counter,
+    /// Budget-burn ratio histograms (stage seconds over budget seconds),
+    /// indexed like [`BURN_STAGES`].
+    pub(crate) burn_hist: [StreamingHistogram; 3],
+    recent: BoundedRing<RequestTrace>,
+    slow: BoundedRing<RequestTrace>,
+    journal: BoundedRing<ObsEvent>,
+}
+
+impl ObsPlane {
+    /// Builds the plane from its config, with one [`Outcomes`] slice per
+    /// tenant.
+    pub fn new(config: &ObsConfig, tenants: usize) -> Self {
+        Self {
+            slow_threshold_s: config.slow_threshold_s,
+            admitted: Counter::new(),
+            rejected: Counter::new(),
+            totals: Outcomes::default(),
+            tenants: (0..tenants).map(|_| Outcomes::default()).collect(),
+            batches: Counter::new(),
+            batched_requests: Counter::new(),
+            max_batch: AtomicU64::new(0),
+            deadline_sheds: std::array::from_fn(|_| Counter::new()),
+            deadline_met: Counter::new(),
+            deadline_missed: Counter::new(),
+            degraded_probes: Counter::new(),
+            cold_skips: Counter::new(),
+            burn_hist: std::array::from_fn(|_| StreamingHistogram::new()),
+            recent: BoundedRing::new(config.recent_traces),
+            slow: BoundedRing::new(config.slow_traces),
+            journal: BoundedRing::new(config.journal_capacity),
+        }
+    }
+
+    /// Per-tenant slices of the completion instruments, indexed by
+    /// [`TenantId`], each judged against that tenant's own `slo_search`.
+    pub fn tenants(&self) -> &[Outcomes] {
+        &self.tenants
+    }
+
+    /// Largest batch absorbed in one launch.
+    pub fn max_batch(&self) -> u64 {
+        // relaxed: monotone running-max read for reporting only.
+        self.max_batch.load(Ordering::Relaxed)
     }
 
     /// One request admitted.
     pub fn on_admit(&self) {
-        if self.enabled {
-            self.admitted.inc();
-        }
+        self.admitted.inc();
     }
 
     /// One request rejected by its tenant's full queue.
     pub fn on_reject(&self) {
-        if self.enabled {
-            self.rejected.inc();
-        }
+        self.rejected.inc();
     }
 
     /// One batch of `n` requests completed.
     pub fn on_batch(&self, n: usize) {
-        if self.enabled {
-            self.batches.inc();
-            self.batched_requests.add(n as u64);
-        }
+        self.batches.inc();
+        self.batched_requests.add(n as u64);
+        // relaxed: single-word running maximum; orders nothing else.
+        self.max_batch.fetch_max(n as u64, Ordering::Relaxed);
     }
 
     /// One request shed on deadline grounds at `stage` (a
     /// `DEADLINE_STAGE_*` index).
     pub fn on_deadline_shed(&self, stage: usize) {
-        if self.enabled {
-            self.deadline_sheds[stage].inc();
-        }
+        self.deadline_sheds[stage].inc();
     }
 
     /// One budgeted request burned `ratio` of its budget in `stage` (a
     /// `BURN_STAGE_*` index). Ratios above 1.0 mean the stage alone
     /// overran the whole budget.
     pub fn on_budget_burn(&self, stage: usize, ratio: f64) {
-        if self.enabled {
-            self.burn_hist[stage].record(ratio);
-        }
+        self.burn_hist[stage].record(ratio);
     }
 
     /// One request's probe list was shrunk from `full` to `kept` lists to
     /// fit its remaining budget, at `at_ns` on the server's clock.
     pub fn on_degraded_probes(&self, at_ns: u64, id: u64, kept: usize, full: usize) {
-        if self.enabled {
-            self.degraded_probes.inc();
-            self.journal(
-                at_ns,
-                Severity::Warn,
-                "degrade",
-                format!("request {id} probes shrunk {full} -> {kept} to fit its budget"),
-            );
-        }
+        self.degraded_probes.inc();
+        self.journal(
+            at_ns,
+            Severity::Warn,
+            "degrade",
+            format!("request {id} probes shrunk {full} -> {kept} to fit its budget"),
+        );
     }
 
     /// One request's cold-tier probes were skipped because only the fast
     /// tier fit its remaining budget.
     pub fn on_cold_skip(&self) {
-        if self.enabled {
-            self.cold_skips.inc();
-        }
+        self.cold_skips.inc();
     }
 
     /// The budget-burn histogram for `stage` (one of [`BURN_STAGES`]).
@@ -524,38 +619,34 @@ impl ObsPlane {
             .map(|i| &self.burn_hist[i])
     }
 
-    /// One request's lifecycle ended: record every stage histogram, the
-    /// breach counters, and capture the trace. `ttft_met` is `None` on
-    /// retrieval-only servers, `Some(false)` for sheds.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_request(
-        &self,
-        id: u64,
-        tenant: TenantId,
-        admitted_ns: u64,
-        timings: &RequestTimings,
-        search_met: bool,
-        ttft_met: Option<bool>,
-        shed: bool,
-    ) {
-        if !self.enabled {
-            return;
+    /// One request's lifecycle ended: record it into the totals and its
+    /// tenant's slice, the budget-burn histograms and deadline counters,
+    /// journal its SLO breaches, and capture its trace.
+    pub fn on_request(&self, c: &Completion<'_>) {
+        self.totals.record(c, c.search_met);
+        if let Some(tenant) = self.tenants.get(c.tenant.index()) {
+            tenant.record(c, c.tenant_search_met);
         }
-        self.completed.inc();
-        self.hist("queue").record(timings.queue);
-        self.hist("search").record(timings.search);
-        self.hist("e2e").record(timings.e2e);
-        if let Some(gen) = &timings.generation {
-            self.hist("ttft").record(gen.ttft);
-            self.hist("gen_queue").record(gen.gen_queue);
-            self.hist("prefill").record(gen.prefill);
-            self.hist("decode").record(gen.decode);
+        let (id, tenant, timings) = (c.id, c.tenant, c.timings);
+        if let Some((budget, met)) = c.deadline {
+            self.on_budget_burn(BURN_STAGE_QUEUE, timings.queue / budget);
+            self.on_budget_burn(BURN_STAGE_SEARCH, timings.search / budget);
+            if let Some(gen) = &timings.generation {
+                self.on_budget_burn(
+                    BURN_STAGE_GENERATION,
+                    (gen.gen_queue + gen.prefill + gen.decode) / budget,
+                );
+            }
+            if met {
+                self.deadline_met.inc();
+            } else {
+                self.deadline_missed.inc();
+            }
         }
         // Breach timestamps are derived (admission + e2e): the hooks run
         // on hot paths and must not take an extra clock read per request.
-        let finished_ns = admitted_ns.saturating_add((timings.e2e * 1e9) as u64);
-        if !search_met {
-            self.search_slo_breaches.inc();
+        let finished_ns = c.admitted_ns.saturating_add((timings.e2e * 1e9) as u64);
+        if !c.search_met {
             self.journal(
                 finished_ns,
                 Severity::Warn,
@@ -566,8 +657,7 @@ impl ObsPlane {
                 ),
             );
         }
-        if ttft_met == Some(false) {
-            self.ttft_slo_breaches.inc();
+        if c.ttft_met == Some(false) {
             if let Some(gen) = &timings.generation {
                 self.journal(
                     finished_ns,
@@ -577,11 +667,8 @@ impl ObsPlane {
                 );
             }
         }
-        if shed {
-            self.gen_sheds.inc();
-        }
-        let trace = RequestTrace::from_timings(id, tenant, admitted_ns, timings, shed);
-        if shed || timings.e2e >= self.slow_threshold_s {
+        let trace = RequestTrace::from_timings(id, tenant, c.admitted_ns, timings, c.shed);
+        if c.shed || timings.e2e >= self.slow_threshold_s {
             self.slow.push(trace.clone());
         }
         self.recent.push(trace);
@@ -589,14 +676,12 @@ impl ObsPlane {
 
     /// Appends one event to the unified journal.
     pub fn journal(&self, at_ns: u64, severity: Severity, kind: &'static str, detail: String) {
-        if self.enabled {
-            self.journal.push(ObsEvent {
-                at_ns,
-                severity,
-                kind,
-                detail,
-            });
-        }
+        self.journal.push(ObsEvent {
+            at_ns,
+            severity,
+            kind,
+            detail,
+        });
     }
 
     /// The recent-trace ring, oldest first.
@@ -685,12 +770,12 @@ impl ObsPlane {
             (
                 "vlite_completed_total",
                 "Requests whose lifecycle ended (delivered or shed)",
-                &self.completed,
+                &self.totals.completed,
             ),
             (
                 "vlite_gen_sheds_total",
                 "Requests shed by KV-aware generation admission",
-                &self.gen_sheds,
+                &self.totals.gen_sheds,
             ),
             (
                 "vlite_batches_total",
@@ -705,12 +790,12 @@ impl ObsPlane {
             (
                 "vlite_search_slo_breaches_total",
                 "Requests whose search stage missed its SLO",
-                &self.search_slo_breaches,
+                &self.totals.search_slo_breaches,
             ),
             (
                 "vlite_ttft_slo_breaches_total",
                 "Requests whose TTFT missed the slo_ttft target (sheds included)",
-                &self.ttft_slo_breaches,
+                &self.totals.ttft_slo_breaches,
             ),
         ] {
             prom_counter(out, name, help, counter.get());
@@ -765,8 +850,7 @@ impl ObsPlane {
             "# HELP vlite_stage_seconds Per-stage latency distributions (log-bucketed)\n\
              # TYPE vlite_stage_seconds histogram\n",
         );
-        for (i, stage) in STAGES.iter().enumerate() {
-            let hist = &self.stage_hist[i];
+        for (stage, hist) in STAGES.iter().zip(&self.totals.stages) {
             // Only materialized buckets are emitted — with log-spaced
             // bounds every emitted `le` is still a valid cumulative row,
             // and ~320 mostly-empty rows per stage would drown the scrape.
@@ -834,6 +918,22 @@ mod tests {
         }
     }
 
+    /// A retrieval-only completion of tenant 0.
+    fn completion(id: u64, timings: &RequestTimings, search_met: bool) -> Completion<'_> {
+        Completion {
+            id,
+            tenant: TenantId(0),
+            admitted_ns: 0,
+            timings,
+            hit_rate: 0.5,
+            search_met,
+            tenant_search_met: search_met,
+            ttft_met: None,
+            shed: false,
+            deadline: None,
+        }
+    }
+
     #[test]
     fn bounded_ring_evicts_oldest_and_counts() {
         let ring = BoundedRing::new(3);
@@ -898,44 +998,32 @@ mod tests {
             slow_threshold_s: 0.01,
             ..ObsConfig::default()
         };
-        let plane = ObsPlane::new(&config);
-        plane.on_request(0, TenantId(0), 0, &timings(0.003), true, None, false);
-        plane.on_request(1, TenantId(0), 0, &timings(0.5), false, None, false);
-        plane.on_request(2, TenantId(0), 0, &timings(0.004), true, Some(false), true);
+        let plane = ObsPlane::new(&config, 1);
+        let (fast, slow) = (timings(0.003), timings(0.5));
+        plane.on_request(&completion(0, &fast, true));
+        plane.on_request(&completion(1, &slow, false));
+        plane.on_request(&Completion {
+            ttft_met: Some(false),
+            shed: true,
+            ..completion(2, &timings(0.004), true)
+        });
         assert_eq!(plane.recent.len(), 3);
         let slow: Vec<u64> = plane.slow.snapshot().iter().map(|t| t.id).collect();
         assert_eq!(slow, vec![1, 2], "the slow request and the shed");
-        assert_eq!(plane.completed.get(), 3);
-        assert_eq!(plane.gen_sheds.get(), 1);
-        assert_eq!(plane.search_slo_breaches.get(), 1);
-        assert_eq!(plane.ttft_slo_breaches.get(), 1);
-    }
-
-    #[test]
-    fn disabled_plane_records_nothing() {
-        let config = ObsConfig {
-            enabled: false,
-            ..ObsConfig::default()
-        };
-        let plane = ObsPlane::new(&config);
-        plane.on_admit();
-        plane.on_batch(4);
-        plane.on_request(0, TenantId(0), 0, &timings(9.0), false, None, true);
-        plane.journal(0, Severity::Warn, "shed", "x".into());
-        assert_eq!(plane.admitted.get(), 0);
-        assert_eq!(plane.completed.get(), 0);
-        assert!(plane.recent.is_empty() && plane.slow.is_empty());
-        assert!(plane.journal.is_empty());
+        assert_eq!(plane.totals.completed.get(), 3);
+        assert_eq!(plane.totals.gen_sheds.get(), 1);
+        assert_eq!(plane.totals.search_slo_breaches.get(), 1);
+        assert_eq!(plane.totals.ttft_slo_breaches.get(), 1);
     }
 
     #[test]
     fn exposition_counts_agree_with_the_counters() {
-        let plane = ObsPlane::new(&ObsConfig::default());
+        let plane = ObsPlane::new(&ObsConfig::default(), 1);
         plane.on_admit();
         plane.on_admit();
         plane.on_reject();
         plane.on_batch(2);
-        plane.on_request(0, TenantId(0), 0, &timings(0.003), true, None, false);
+        plane.on_request(&completion(0, &timings(0.003), true));
         let mut text = String::new();
         plane.prometheus_into(&mut text);
         assert!(text.contains("vlite_admitted_total 2\n"));
@@ -950,7 +1038,7 @@ mod tests {
 
     #[test]
     fn deadline_hooks_count_and_expose() {
-        let plane = ObsPlane::new(&ObsConfig::default());
+        let plane = ObsPlane::new(&ObsConfig::default(), 1);
         plane.on_deadline_shed(DEADLINE_STAGE_ADMISSION);
         plane.on_deadline_shed(DEADLINE_STAGE_QUEUE);
         plane.on_deadline_shed(DEADLINE_STAGE_QUEUE);
@@ -975,25 +1063,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_plane_ignores_deadline_hooks() {
-        let config = ObsConfig {
-            enabled: false,
-            ..ObsConfig::default()
-        };
-        let plane = ObsPlane::new(&config);
-        plane.on_deadline_shed(DEADLINE_STAGE_QUEUE);
-        plane.on_degraded_probes(0, 1, 1, 2);
-        plane.on_cold_skip();
-        plane.on_budget_burn(BURN_STAGE_GENERATION, 1.5);
-        assert_eq!(plane.deadline_sheds[DEADLINE_STAGE_QUEUE].get(), 0);
-        assert_eq!(plane.degraded_probes.get(), 0);
-        assert_eq!(plane.cold_skips.get(), 0);
-        assert_eq!(plane.burn_hist[BURN_STAGE_GENERATION].count(), 0);
-    }
-
-    #[test]
     fn journal_severity_renders_and_filters() {
-        let plane = ObsPlane::new(&ObsConfig::default());
+        let plane = ObsPlane::new(&ObsConfig::default(), 1);
         plane.journal(1, Severity::Info, "repartition", "routine".into());
         plane.journal(2, Severity::Warn, "shed", "degraded".into());
         plane.journal(3, Severity::Critical, "panic", "bad".into());
@@ -1015,10 +1086,10 @@ mod tests {
 
     #[test]
     fn stage_lookup_knows_every_stage() {
-        let plane = ObsPlane::new(&ObsConfig::default());
+        let plane = ObsPlane::new(&ObsConfig::default(), 1);
         for stage in STAGES {
-            assert!(plane.stage(stage).is_some());
+            assert!(plane.totals.stage(stage).is_some());
         }
-        assert!(plane.stage("nope").is_none());
+        assert!(plane.totals.stage("nope").is_none());
     }
 }

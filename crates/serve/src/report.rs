@@ -10,12 +10,12 @@ use crate::config::TenantSpec;
 use crate::control::RepartitionEvent;
 use crate::http::json::Json;
 use crate::migrate::MigrationEvent;
+use crate::obs::{ObsPlane, Outcomes, BURN_STAGE_GENERATION, BURN_STAGE_QUEUE, BURN_STAGE_SEARCH};
 use crate::queue::QueueStats;
 use crate::request::TenantId;
-use crate::server::ServeMetrics;
 use crate::trace::StageProfile;
 
-/// One tenant's slice of a serving run.
+/// One tenant's slice of a serving run (exactness as in [`ServeReport`]).
 #[derive(Debug, Clone)]
 pub struct TenantReport {
     /// The tenant this row describes.
@@ -130,7 +130,19 @@ impl StoreReport {
     }
 }
 
-/// Snapshot of everything a serving run measured.
+/// Snapshot of everything a serving run measured, read from the
+/// telemetry plane's instruments ([`ObsPlane`]) without a lock.
+///
+/// Exact: every count (admissions, completions, batches, sheds, deadline
+/// met/missed, degraded probes, cold skips), every attainment fraction,
+/// `mean_batch`, `max_batch`, `mean_hit_rate` (to 1e-9), and the `count`,
+/// `mean`, `min` and `max` of every [`Summary`]. The [`Summary`]
+/// percentiles (`p50`…`p99`) come from log-bucketed streaming histograms:
+/// each errs high by at most
+/// [`StreamingHistogram::relative_error_bound`](vlite_metrics::obs::StreamingHistogram::relative_error_bound)
+/// (≈ 9.05%) of the exact nearest-rank sample. [`TenantReport`] rows
+/// carry the same guarantees. A report taken while requests complete may
+/// straddle one recording; after shutdown every value is final.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Requests admitted into the queue (all tenants).
@@ -216,9 +228,11 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// Reads the report off the telemetry plane's instruments — no lock,
+    /// no per-request sample copies.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
-        metrics: &ServeMetrics,
+        obs: &ObsPlane,
         queue_stats: QueueStats,
         specs: &[TenantSpec],
         repartitions: Vec<RepartitionEvent>,
@@ -229,86 +243,77 @@ impl ServeReport {
         worker_panics: u64,
         profile: Vec<StageProfile>,
     ) -> ServeReport {
-        let mut queue_lat = metrics.queue_lat.clone();
-        let mut search_lat = metrics.search_lat.clone();
-        let mut e2e_lat = metrics.e2e_lat.clone();
-        let completed = metrics.completed;
+        // Retrieval-only servers never judge TTFT: attainment stays 0.0.
+        let ttft_attainment = |o: &Outcomes| slo_ttft.map_or(0.0, |_| o.ttft_attainment());
         let tenants = specs
             .iter()
+            .zip(&queue_stats.tenants)
+            .zip(obs.tenants())
             .enumerate()
-            .map(|(i, spec)| {
-                let m = &metrics.tenants[i];
-                let q = &queue_stats.tenants[i];
-                TenantReport {
-                    tenant: TenantId(i as u16),
-                    weight: spec.weight,
-                    queue_capacity: spec.queue_capacity,
-                    admitted: q.admitted,
-                    rejected: q.rejected,
-                    completed: m.completed,
-                    peak_queue_depth: q.peak_depth,
-                    queue: m.queue_lat.clone().summary(),
-                    search: m.search_lat.clone().summary(),
-                    e2e: m.e2e_lat.clone().summary(),
-                    slo_target: spec.slo_search,
-                    slo_attainment: m.slo.attainment(),
-                    ttft: m.ttft_lat.clone().summary(),
-                    ttft_attainment: m.ttft_slo.attainment(),
-                    gen_sheds: m.gen_sheds,
-                    mean_hit_rate: if m.completed == 0 {
-                        0.0
-                    } else {
-                        m.hit_sum / m.completed as f64
-                    },
-                }
+            .map(|(i, ((spec, q), m))| TenantReport {
+                tenant: TenantId(i as u16),
+                weight: spec.weight,
+                queue_capacity: spec.queue_capacity,
+                admitted: q.admitted,
+                rejected: q.rejected,
+                completed: m.completed.get(),
+                peak_queue_depth: q.peak_depth,
+                queue: m.hist("queue").summary(),
+                search: m.hist("search").summary(),
+                e2e: m.hist("e2e").summary(),
+                slo_target: spec.slo_search,
+                slo_attainment: m.search_attainment(),
+                ttft: m.hist("ttft").summary(),
+                ttft_attainment: ttft_attainment(m),
+                gen_sheds: m.gen_sheds.get(),
+                mean_hit_rate: m.mean_hit_rate(),
             })
             .collect();
+        let totals = &obs.totals;
+        let batches = obs.batches.get();
+        let (deadline_met, deadline_missed) = (obs.deadline_met.get(), obs.deadline_missed.get());
         ServeReport {
             admitted: queue_stats.admitted,
             rejected: queue_stats.rejected,
-            completed,
+            completed: totals.completed.get(),
             peak_queue_depth: queue_stats.peak_depth,
-            queue: queue_lat.summary(),
-            search: search_lat.summary(),
-            e2e: e2e_lat.summary(),
+            queue: totals.hist("queue").summary(),
+            search: totals.hist("search").summary(),
+            e2e: totals.hist("e2e").summary(),
             slo_target,
-            slo_attainment: metrics.slo.attainment(),
-            ttft: metrics.ttft_lat.clone().summary(),
-            gen_queue: metrics.gen_queue_lat.clone().summary(),
-            prefill: metrics.prefill_lat.clone().summary(),
-            decode: metrics.decode_lat.clone().summary(),
+            slo_attainment: totals.search_attainment(),
+            ttft: totals.hist("ttft").summary(),
+            gen_queue: totals.hist("gen_queue").summary(),
+            prefill: totals.hist("prefill").summary(),
+            decode: totals.hist("decode").summary(),
             slo_ttft,
-            ttft_attainment: metrics.ttft_slo.attainment(),
-            gen_sheds: metrics.gen_sheds,
-            batches: metrics.batches,
-            mean_batch: if metrics.batches == 0 {
+            ttft_attainment: ttft_attainment(totals),
+            gen_sheds: totals.gen_sheds.get(),
+            batches,
+            mean_batch: if batches == 0 {
                 0.0
             } else {
-                metrics.batched_requests as f64 / metrics.batches as f64
+                obs.batched_requests.get() as f64 / batches as f64
             },
-            max_batch: metrics.max_batch,
-            mean_hit_rate: if completed == 0 {
-                0.0
-            } else {
-                metrics.hit_sum / completed as f64
-            },
+            max_batch: obs.max_batch() as usize,
+            mean_hit_rate: totals.mean_hit_rate(),
             tenants,
             repartitions,
             store,
             generation,
             worker_panics,
-            deadline_sheds: metrics.deadline_sheds,
-            degraded_probes: metrics.degraded_probes,
-            cold_skips: metrics.cold_skips,
-            deadline_met: metrics.deadline_met,
-            deadline_missed: metrics.deadline_missed,
+            deadline_sheds: obs.deadline_sheds.each_ref().map(|c| c.get()),
+            degraded_probes: obs.degraded_probes.get(),
+            cold_skips: obs.cold_skips.get(),
+            deadline_met,
+            deadline_missed,
             deadline_attainment: {
-                let budgeted = metrics.deadline_met + metrics.deadline_missed;
-                (budgeted > 0).then(|| metrics.deadline_met as f64 / budgeted as f64)
+                let budgeted = deadline_met + deadline_missed;
+                (budgeted > 0).then(|| deadline_met as f64 / budgeted as f64)
             },
-            burn_queue: metrics.burn_queue.clone().summary(),
-            burn_search: metrics.burn_search.clone().summary(),
-            burn_gen: metrics.burn_gen.clone().summary(),
+            burn_queue: obs.burn_hist[BURN_STAGE_QUEUE].summary(),
+            burn_search: obs.burn_hist[BURN_STAGE_SEARCH].summary(),
+            burn_gen: obs.burn_hist[BURN_STAGE_GENERATION].summary(),
             profile,
         }
     }

@@ -15,14 +15,13 @@
 //! weighted share of every batch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{self, Receiver, Sender};
 
 use vlite_ann::{merge_sorted, BatchQuery, IvfIndex, Neighbor};
 use vlite_core::{PartitionDecision, PartitionInput, RealDeployment, RoutedQuery, Router};
-use vlite_metrics::{LatencyRecorder, SloTracker};
 use vlite_sim::SimTime;
 use vlite_store::{StoreError, StoreSnapshot, TieredStore};
 use vlite_workload::SyntheticCorpus;
@@ -30,15 +29,19 @@ use vlite_workload::SyntheticCorpus;
 use crate::clock::{Clock, RealClock};
 use crate::config::{DeadlinePolicy, GenerationConfig, ServeConfig, SloSignal, TenantSpec};
 use crate::control::{ControlLoop, Observation, RepartitionEvent};
-use crate::generation::{generation_worker, GenWork};
+use crate::generation::{generation_worker, GenWork, ShedCause};
 use crate::migrate::{migrator_worker, MigrationEvent, MigrationOrder};
-use crate::obs::{prom_counter, prom_gauge, prom_label_escape, BoundedRing, ObsPlane, Severity};
+use crate::obs::{
+    prom_counter, prom_gauge, prom_label_escape, BoundedRing, Completion, ObsPlane, Severity,
+    BURN_STAGE_QUEUE, DEADLINE_STAGE_ADMISSION, DEADLINE_STAGE_GENERATION, DEADLINE_STAGE_QUEUE,
+};
 use crate::queue::AdmissionQueue;
 use crate::report::{ServeReport, StoreReport};
 use crate::request::{AdmissionError, Job, RequestTimings, SearchResponse, TenantId, Ticket};
 use crate::trace::{
-    AlertLevel, BatchCtx, RequestSpanTimes, TraceId, TracePlane, SIG_DEADLINE, SIG_SEARCH,
-    STAGE_BATCHER, STAGE_CONTROL, STAGE_CPU_SCAN, STAGE_DISPATCH, STAGE_SHARD_SCAN,
+    AlertLevel, BatchCtx, GenSpans, RequestSpanTimes, TraceId, TracePlane, SIG_DEADLINE,
+    SIG_SEARCH, SIG_TTFT, STAGE_BATCHER, STAGE_CONTROL, STAGE_CPU_SCAN, STAGE_DISPATCH,
+    STAGE_SHARD_SCAN,
 };
 
 /// One batch travelling from the batcher to the workers and dispatcher.
@@ -68,121 +71,26 @@ enum DispatchMsg {
     CpuDone { qi: usize, partial: Vec<Neighbor> },
 }
 
-/// One tenant's slice of the dispatcher's measurements.
-#[derive(Debug)]
-pub(crate) struct TenantMetrics {
-    pub queue_lat: LatencyRecorder,
-    pub search_lat: LatencyRecorder,
-    pub e2e_lat: LatencyRecorder,
-    pub slo: SloTracker,
-    /// Admission → first token (empty on retrieval-only servers).
-    pub ttft_lat: LatencyRecorder,
-    /// TTFT against the global `slo_ttft` target.
-    pub ttft_slo: SloTracker,
-    /// Requests shed by KV-aware generation admission (each also counted
-    /// as a TTFT miss in `ttft_slo`).
-    pub gen_sheds: u64,
-    pub hit_sum: f64,
-    pub completed: u64,
-}
-
-impl TenantMetrics {
-    fn new(slo_search: f64, slo_ttft: Option<f64>) -> Self {
-        Self {
-            queue_lat: LatencyRecorder::new(),
-            search_lat: LatencyRecorder::new(),
-            e2e_lat: LatencyRecorder::new(),
-            slo: SloTracker::new(slo_search),
-            ttft_lat: LatencyRecorder::new(),
-            // Disabled generation never observes TTFT; the placeholder
-            // target keeps the tracker inert (attainment 0.0 at count 0).
-            ttft_slo: SloTracker::new(slo_ttft.unwrap_or(f64::MAX)),
-            gen_sheds: 0,
-            hit_sum: 0.0,
-            completed: 0,
-        }
-    }
-}
-
-/// Aggregate measurements owned by the dispatcher (and, for co-scheduled
-/// servers, the generation worker), snapshotted by [`RagServer::report`].
-#[derive(Debug)]
-pub(crate) struct ServeMetrics {
-    pub queue_lat: LatencyRecorder,
-    pub search_lat: LatencyRecorder,
-    pub e2e_lat: LatencyRecorder,
-    pub slo: SloTracker,
-    /// Admission → first token (empty on retrieval-only servers).
-    pub ttft_lat: LatencyRecorder,
-    /// TTFT against `slo_ttft`.
-    pub ttft_slo: SloTracker,
-    /// Generation-stage phase recorders (empty on retrieval-only servers).
-    pub gen_queue_lat: LatencyRecorder,
-    pub prefill_lat: LatencyRecorder,
-    pub decode_lat: LatencyRecorder,
-    /// Requests shed by KV-aware generation admission.
-    pub gen_sheds: u64,
-    /// Requests shed on deadline grounds, by stage:
-    /// `[admission, queue-expiry, generation]` (see
-    /// [`crate::obs::DEADLINE_STAGES`]).
-    pub deadline_sheds: [u64; 3],
-    /// Requests that probed a truncated (budget-scaled) prefix of their
-    /// probe list.
-    pub degraded_probes: u64,
-    /// Requests whose cold-tier (CPU) probes were skipped because only the
-    /// fast tier fit the remaining budget.
-    pub cold_skips: u64,
-    /// Completed budgeted responses that landed within their deadline.
-    pub deadline_met: u64,
-    /// Completed budgeted responses that landed past their deadline.
-    pub deadline_missed: u64,
-    /// Per-stage budget burn of budgeted requests, as fractions of the
-    /// request's whole budget (`stage_seconds / budget_seconds`).
-    pub burn_queue: LatencyRecorder,
-    pub burn_search: LatencyRecorder,
-    pub burn_gen: LatencyRecorder,
-    pub hit_sum: f64,
-    pub completed: u64,
-    pub batches: u64,
-    pub batched_requests: u64,
-    pub max_batch: usize,
-    /// Per-tenant slices, indexed by [`TenantId`]. Each tenant's SLO
-    /// tracker runs against that tenant's own `slo_search` target.
-    pub tenants: Vec<TenantMetrics>,
-}
-
-impl ServeMetrics {
-    pub(crate) fn new(slo_search: f64, slo_ttft: Option<f64>, tenants: &[TenantSpec]) -> Self {
-        Self {
-            queue_lat: LatencyRecorder::new(),
-            search_lat: LatencyRecorder::new(),
-            e2e_lat: LatencyRecorder::new(),
-            slo: SloTracker::new(slo_search),
-            ttft_lat: LatencyRecorder::new(),
-            ttft_slo: SloTracker::new(slo_ttft.unwrap_or(f64::MAX)),
-            gen_queue_lat: LatencyRecorder::new(),
-            prefill_lat: LatencyRecorder::new(),
-            decode_lat: LatencyRecorder::new(),
-            gen_sheds: 0,
-            deadline_sheds: [0; 3],
-            degraded_probes: 0,
-            cold_skips: 0,
-            deadline_met: 0,
-            deadline_missed: 0,
-            burn_queue: LatencyRecorder::new(),
-            burn_search: LatencyRecorder::new(),
-            burn_gen: LatencyRecorder::new(),
-            hit_sum: 0.0,
-            completed: 0,
-            batches: 0,
-            batched_requests: 0,
-            max_batch: 0,
-            tenants: tenants
-                .iter()
-                .map(|spec| TenantMetrics::new(spec.slo_search, slo_ttft))
-                .collect(),
-        }
-    }
+/// One request whose lifecycle ended, as a completion site hands it to
+/// [`Shared::record_completion`]: the dispatcher delivering a retrieval,
+/// or the generation worker shedding or finishing one.
+pub(crate) struct Finished<'a> {
+    pub id: u64,
+    pub tenant: TenantId,
+    pub trace: TraceId,
+    /// The batch span the request's search rode, when tracing.
+    pub batch_trace: Option<u128>,
+    pub enqueued: SimTime,
+    pub deadline: Option<SimTime>,
+    /// When the response left: judged against the deadline and fed to the
+    /// burn-rate watchdog.
+    pub at: SimTime,
+    pub timings: &'a RequestTimings,
+    pub hit_rate: f64,
+    /// The request's span boundaries for the trace plane.
+    pub spans: RequestSpanTimes,
+    /// Why generation admission shed the request, if it did.
+    pub shed: Option<ShedCause>,
 }
 
 /// The installed placement: router plus its generation, swapped together
@@ -198,7 +106,6 @@ pub(crate) struct Shared {
     pub(crate) index: IvfIndex,
     pub(crate) placement: RwLock<PlacementState>,
     pub(crate) queue: AdmissionQueue,
-    pub(crate) metrics: Mutex<ServeMetrics>,
     /// Worker scans that panicked and were degraded to empty partials
     /// (availability over exactness; surfaced in the report).
     pub(crate) worker_panics: AtomicU64,
@@ -211,7 +118,8 @@ pub(crate) struct Shared {
     /// discipline as `repartitions`.
     pub(crate) migrations: BoundedRing<MigrationEvent>,
     /// The always-on telemetry plane (lock-free counters/histograms,
-    /// trace rings, event journal).
+    /// trace rings, event journal): the single record of every request,
+    /// which [`RagServer::report`] reads.
     pub(crate) obs: Arc<ObsPlane>,
     /// Causal tracing, per-stage CPU profiling and the SLO burn-rate
     /// watchdog (cheap no-ops when disabled by config).
@@ -261,10 +169,7 @@ impl Shared {
         if wait <= budget {
             return Ok(());
         }
-        crate::sync::lock_recover(&self.metrics).deadline_sheds
-            [crate::obs::DEADLINE_STAGE_ADMISSION] += 1;
-        self.obs
-            .on_deadline_shed(crate::obs::DEADLINE_STAGE_ADMISSION);
+        self.obs.on_deadline_shed(DEADLINE_STAGE_ADMISSION);
         self.obs.journal(
             now.as_nanos(),
             Severity::Warn,
@@ -282,6 +187,75 @@ impl Shared {
             budget,
             estimated_wait: wait,
         })
+    }
+
+    /// Records one finished request everywhere it is measured, in one
+    /// call: the telemetry plane (totals judged against the global
+    /// `slo_search`, the tenant's slice against its own), the shed
+    /// journal, the request's span tree and the burn-rate watchdog.
+    pub(crate) fn record_completion(&self, done: &Finished<'_>) {
+        let timings = done.timings;
+        let search_met = timings.search <= self.slo_search;
+        let ttft_met = self.generation.as_ref().map(|g| {
+            done.shed.is_none() && timings.generation.is_some_and(|gen| gen.ttft <= g.slo_ttft)
+        });
+        let deadline = done.deadline.map(|d| {
+            let budget = d.duration_since(done.enqueued).as_secs_f64().max(1e-12);
+            (budget, done.at <= d)
+        });
+        self.obs.on_request(&Completion {
+            id: done.id,
+            tenant: done.tenant,
+            admitted_ns: done.enqueued.as_nanos(),
+            timings,
+            hit_rate: done.hit_rate,
+            search_met,
+            tenant_search_met: timings.search <= self.tenants[done.tenant.index()].slo_search,
+            ttft_met,
+            shed: done.shed.is_some(),
+            deadline,
+        });
+        // (journal kind, shedding policy, span-marker reason)
+        let shed = done.shed.map(|cause| match cause {
+            ShedCause::Kv => ("shed", "KV-aware admission", "kv-admission"),
+            ShedCause::Deadline => (
+                "deadline-shed",
+                "deadline-aware generation admission",
+                "gen-deadline",
+            ),
+        });
+        if done.shed == Some(ShedCause::Deadline) {
+            self.obs.on_deadline_shed(DEADLINE_STAGE_GENERATION);
+        }
+        if let Some((kind, why, _)) = shed {
+            self.obs.journal(
+                done.at.as_nanos(),
+                Severity::Warn,
+                kind,
+                format!(
+                    "request {} ({}) shed by {why} after {:.4}s of retrieval",
+                    done.id, done.tenant, timings.e2e
+                ),
+            );
+        }
+        self.trace.record_request(
+            done.trace,
+            done.batch_trace,
+            done.spans,
+            timings.generation.map(|gen| GenSpans {
+                queue_s: gen.gen_queue,
+                prefill_s: gen.prefill,
+                decode_s: gen.decode,
+            }),
+            shed.map(|(_, _, reason)| reason),
+        );
+        self.watch_slo(SIG_SEARCH, search_met, done.at);
+        if let Some(met) = ttft_met {
+            self.watch_slo(SIG_TTFT, met, done.at);
+        }
+        if let Some((_, met)) = deadline {
+            self.watch_slo(SIG_DEADLINE, met, done.at);
+        }
     }
 
     /// Feeds one SLO attainment observation into the burn-rate watchdog,
@@ -480,7 +454,6 @@ impl RagServer {
             config.control.slo_signal == SloSignal::Search || config.generation.is_some(),
             "TTFT-keyed control observations require a generation stage"
         );
-        let slo_ttft = config.generation.as_ref().map(|g| g.slo_ttft);
         // Expected mean hit rate, measured with the *same statistic* the
         // dispatcher will observe (per-query GPU-probe fraction over the
         // calibration probe sets) — the estimator's modeled mean is
@@ -500,16 +473,11 @@ impl RagServer {
                 generation: 0,
             }),
             queue: AdmissionQueue::new(&tenants),
-            metrics: Mutex::new(ServeMetrics::new(
-                config.real.slo_search,
-                slo_ttft,
-                &tenants,
-            )),
             worker_panics: AtomicU64::new(0),
+            obs: Arc::new(ObsPlane::new(&config.obs, tenants.len())),
             tenants,
             repartitions: BoundedRing::new(config.obs.repartition_capacity),
             migrations: BoundedRing::new(config.obs.migration_capacity),
-            obs: Arc::new(ObsPlane::new(&config.obs)),
             trace,
             store,
             blocked_scans: !config.store.unblocked,
@@ -899,9 +867,9 @@ impl RagServer {
         self.shared.store.as_ref()
     }
 
-    /// The live telemetry plane: lock-free counters/histograms, trace
-    /// rings and the event journal, readable at any moment without
-    /// touching the exact (mutex-guarded) report metrics.
+    /// The live telemetry plane: lock-free counters/histograms (the
+    /// record [`RagServer::report`] reads), trace rings and the event
+    /// journal, readable at any moment without blocking the runtime.
     pub fn obs(&self) -> &ObsPlane {
         &self.shared.obs
     }
@@ -969,7 +937,7 @@ impl RagServer {
     /// the telemetry plane's counters and stage histograms plus
     /// scrape-time gauges (queue depth, placement generation, ring
     /// occupancy, store residency). Every value is read lock-free or
-    /// under a short dedicated lock — never the global metrics mutex.
+    /// under a short dedicated ring lock that no request path waits on.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::with_capacity(8 * 1024);
         out.push_str(&format!(
@@ -1119,9 +1087,9 @@ impl RagServer {
         out
     }
 
-    /// Snapshot of the runtime's measurements so far.
+    /// Snapshot of the runtime's measurements so far, read from the
+    /// telemetry plane without stopping the runtime.
     pub fn report(&self) -> ServeReport {
-        let metrics = crate::sync::lock_recover(&self.shared.metrics);
         let queue_stats = self.shared.queue.stats();
         let repartitions = self.shared.repartitions.snapshot();
         let store = self
@@ -1130,7 +1098,7 @@ impl RagServer {
             .as_ref()
             .map(|store| StoreReport::capture(store, self.shared.migrations.snapshot()));
         ServeReport::assemble(
-            &metrics,
+            &self.shared.obs,
             queue_stats,
             &self.shared.tenants,
             repartitions,
@@ -1229,8 +1197,6 @@ fn batcher(
             shared.trace.stage_end(stage, shared.clock.now());
             continue;
         }
-        let mut degraded = 0u64;
-        let mut cold_skips = 0u64;
         let routed: Vec<RoutedQuery> = jobs
             .iter()
             .map(|job| {
@@ -1248,7 +1214,6 @@ fn batcher(
                     .collect();
                 let mut routed = router.route(&probes);
                 if nprobe < shared.nprobe {
-                    degraded += 1;
                     shared.obs.on_degraded_probes(
                         started.as_nanos(),
                         job.id,
@@ -1258,17 +1223,11 @@ fn batcher(
                 }
                 if fast_only && !routed.cpu_probes.is_empty() {
                     routed.cpu_probes.clear();
-                    cold_skips += 1;
                     shared.obs.on_cold_skip();
                 }
                 routed
             })
             .collect();
-        if degraded + cold_skips > 0 {
-            let mut metrics = crate::sync::lock_recover(&shared.metrics);
-            metrics.degraded_probes += degraded;
-            metrics.cold_skips += cold_skips;
-        }
         let members: Vec<TraceId> = jobs.iter().map(|j| j.trace).collect();
         let batch = Arc::new(BatchWork {
             jobs,
@@ -1308,17 +1267,8 @@ fn batcher(
 fn shed_expired(shared: &Shared, job: &Job, now: SimTime) {
     let queue = (now - job.enqueued).as_secs_f64();
     let burn = job.budget_secs().map_or(0.0, |b| queue / b.max(1e-12));
-    {
-        let mut metrics = crate::sync::lock_recover(&shared.metrics);
-        metrics.deadline_sheds[crate::obs::DEADLINE_STAGE_QUEUE] += 1;
-        metrics.burn_queue.record(burn);
-    }
-    shared
-        .obs
-        .on_deadline_shed(crate::obs::DEADLINE_STAGE_QUEUE);
-    shared
-        .obs
-        .on_budget_burn(crate::obs::BURN_STAGE_QUEUE, burn);
+    shared.obs.on_deadline_shed(DEADLINE_STAGE_QUEUE);
+    shared.obs.on_budget_burn(BURN_STAGE_QUEUE, burn);
     shared.obs.journal(
         now.as_nanos(),
         Severity::Warn,
@@ -1573,7 +1523,7 @@ fn dispatcher(
                 // Hard assert, not debug_assert: in release a duplicate
                 // Launch would silently drop the in-flight batch, orphaning
                 // its tickets with no accounting. A protocol violation is a
-                // harness bug (same policy as `LatencyRecorder::record`).
+                // harness bug, and failing loudly beats a corrupt record.
                 assert!(inflight.is_none(), "one batch in flight at a time");
                 inflight = Some(InFlight {
                     shard_partials: vec![None; shared.n_shards],
@@ -1610,13 +1560,7 @@ fn dispatcher(
         }
         if let Some(state) = &inflight {
             if state.completed == state.batch.jobs.len() {
-                let batch_size = state.batch.jobs.len();
-                let mut metrics = crate::sync::lock_recover(&shared.metrics);
-                metrics.batches += 1;
-                metrics.batched_requests += batch_size as u64;
-                metrics.max_batch = metrics.max_batch.max(batch_size);
-                drop(metrics);
-                shared.obs.on_batch(batch_size);
+                shared.obs.on_batch(state.batch.jobs.len());
                 if let Some(ctx) = &state.batch.trace {
                     shared
                         .trace
@@ -1714,69 +1658,24 @@ fn complete_query(
         generation: None,
     };
 
-    {
-        let mut metrics = crate::sync::lock_recover(&shared.metrics);
-        metrics.queue_lat.record(timings.queue);
-        metrics.search_lat.record(timings.search);
-        metrics.e2e_lat.record(timings.e2e);
-        metrics.slo.observe(timings.search);
-        metrics.hit_sum += hit_rate;
-        metrics.completed += 1;
-        if let Some(budget) = job.budget_secs() {
-            let budget = budget.max(1e-12);
-            metrics.burn_queue.record(timings.queue / budget);
-            metrics.burn_search.record(timings.search / budget);
-            if now <= job.deadline.expect("budget implies deadline") {
-                metrics.deadline_met += 1;
-            } else {
-                metrics.deadline_missed += 1;
-            }
-        }
-        let tenant = &mut metrics.tenants[job.tenant.index()];
-        tenant.queue_lat.record(timings.queue);
-        tenant.search_lat.record(timings.search);
-        tenant.e2e_lat.record(timings.e2e);
-        tenant.slo.observe(timings.search);
-        tenant.hit_sum += hit_rate;
-        tenant.completed += 1;
-    }
-
-    if let Some(budget) = job.budget_secs() {
-        let budget = budget.max(1e-12);
-        shared
-            .obs
-            .on_budget_burn(crate::obs::BURN_STAGE_QUEUE, timings.queue / budget);
-        shared
-            .obs
-            .on_budget_burn(crate::obs::BURN_STAGE_SEARCH, timings.search / budget);
-    }
-
-    shared.obs.on_request(
-        job.id,
-        job.tenant,
-        job.enqueued.as_nanos(),
-        &timings,
-        met_slo,
-        None,
-        false,
-    );
-
-    shared.trace.record_request(
-        job.trace,
-        batch.trace.as_ref().map(|c| c.trace_id),
-        RequestSpanTimes {
+    shared.record_completion(&Finished {
+        id: job.id,
+        tenant: job.tenant,
+        trace: job.trace,
+        batch_trace: batch.trace.as_ref().map(|c| c.trace_id),
+        enqueued: job.enqueued,
+        deadline: job.deadline,
+        at: now,
+        timings: &timings,
+        hit_rate,
+        spans: RequestSpanTimes {
             enqueued_s: job.enqueued.as_nanos() as f64 / 1e9,
             search_start_s: batch.started.as_nanos() as f64 / 1e9,
             search_end_s: now.as_nanos() as f64 / 1e9,
             end_s: now.as_nanos() as f64 / 1e9,
         },
-        None,
-        None,
-    );
-    shared.watch_slo(SIG_SEARCH, met_slo, now);
-    if let Some(deadline) = job.deadline {
-        shared.watch_slo(SIG_DEADLINE, now <= deadline, now);
-    }
+        shed: None,
+    });
 
     let _ = control_tx.send(Observation {
         tenant: job.tenant,

@@ -178,7 +178,6 @@ fn observability_endpoints_over_the_socket() {
         health_json.get("worker_panics").and_then(Json::as_u64),
         Some(0)
     );
-    assert_eq!(health_json.get("obs_enabled"), Some(&Json::Bool(true)));
 
     // The new paths are GET-only.
     let post = client

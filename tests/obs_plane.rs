@@ -1,25 +1,32 @@
-//! Integration: the always-on telemetry plane against the exact report.
+//! Integration: the always-on telemetry plane, the single record that
+//! `ServeReport` is read from. These tests pin the contract from the
+//! outside:
 //!
-//! The obs plane is *additive*: the mutex-guarded `ServeMetrics` stays the
-//! source of truth for `ServeReport`, and the lock-free counters/histograms
-//! mirror it. These tests pin the contract from the outside:
-//!
-//! 1. After a run, every Prometheus-scraped counter equals the exact
-//!    report's total, and the stage histograms saw exactly one sample per
+//! 1. After a run, every Prometheus-scraped counter equals the report's
+//!    total, and the stage histograms saw exactly one sample per
 //!    completed request (retrieval-only and co-scheduled).
 //! 2. The trace rings capture per-request waterfalls whose span boundaries
 //!    reproduce the delivered timings, and a zero slow-threshold routes
 //!    every trace into the slow ring.
-//! 3. A disabled plane records nothing while leaving the exact report
-//!    untouched.
+//! 3. An oracle recomputed from every delivered response's timings and hit
+//!    rate reproduces the report: counts, attainment (per tenant against
+//!    the tenant's own SLO), hit-rate means and deadline counters exactly,
+//!    latency percentiles within the histograms' relative error bound.
 //! 4. Hot-path recording is lock-free: writers hammering one plane from
 //!    many threads lose no samples even while a scraper renders the
 //!    exposition concurrently (no global lock to convoy on).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use vectorlite_rag::core::RealConfig;
-use vectorlite_rag::serve::{GenerationConfig, ObsConfig, ObsPlane, RagServer, ServeConfig};
+use vectorlite_rag::metrics::obs::StreamingHistogram;
+use vectorlite_rag::metrics::{LatencyRecorder, Summary};
+use vectorlite_rag::serve::obs::Completion;
+use vectorlite_rag::serve::{
+    DeadlinePolicy, GenerationConfig, ObsConfig, ObsPlane, RagServer, SearchResponse, ServeConfig,
+    TenantId, TenantSpec,
+};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
 
 fn corpus() -> SyntheticCorpus {
@@ -120,31 +127,13 @@ fn scraped_counters_match_the_exact_report() {
     );
     assert_eq!(prom_value(&text, "vlite_gen_sheds_total"), 0.0);
 
-    // Batch counters are finalized by the dispatcher after the last reply,
-    // so compare them post-shutdown (every worker joined) via the handle
-    // that outlives the server.
+    // The admission counters mirror the queue's own statistics, which
+    // the report reads; compare them post-shutdown via the handle that
+    // outlives the server.
     let obs = server.obs_handle();
     let report = server.shutdown();
     assert_eq!(obs.admitted.get(), report.admitted);
-    assert_eq!(obs.completed.get(), report.completed);
     assert_eq!(obs.rejected.get(), report.rejected);
-    assert_eq!(obs.batches.get(), report.batches);
-    assert_eq!(
-        obs.batched_requests.get(),
-        (report.mean_batch * report.batches as f64).round() as u64,
-        "mean batch size is batched_requests / batches"
-    );
-    // Histogram sums track the exact recorders (sums are exact up to
-    // nanosecond truncation — only the *positions* are bucketed).
-    let search = obs.stage("search").expect("known stage");
-    assert_eq!(search.count(), report.completed);
-    let exact_sum = report.search.mean * report.completed as f64;
-    assert!(
-        (search.sum_seconds() - exact_sum).abs() <= 1e-6 * exact_sum.max(1.0),
-        "histogram sum {} vs exact {}",
-        search.sum_seconds(),
-        exact_sum
-    );
 }
 
 #[test]
@@ -169,14 +158,12 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
     let obs = server.obs_handle();
     let report = server.shutdown();
     assert_eq!(report.completed, n as u64);
-    assert_eq!(obs.completed.get(), report.completed);
-    assert_eq!(obs.gen_sheds.get(), report.gen_sheds);
 
     // Generation stages record once per delivered (non-shed) request.
     let delivered = report.completed - report.gen_sheds;
     for stage in ["ttft", "gen_queue", "prefill", "decode"] {
         assert_eq!(
-            obs.stage(stage).expect("known stage").count(),
+            obs.totals.stage(stage).expect("known stage").count(),
             delivered,
             "stage {stage}"
         );
@@ -217,36 +204,149 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
     }
 }
 
-#[test]
-fn disabled_plane_records_nothing_and_report_is_unaffected() {
-    let corpus = corpus();
-    let mut config = config();
-    config.obs.enabled = false;
-    let server = RagServer::start(&corpus, config).expect("server starts");
-    let queries = corpus.queries(16, 31);
-    let tickets: Vec<_> = queries
-        .iter()
-        .map(|q| server.submit(q.to_vec()).expect("admitted"))
-        .collect();
-    for ticket in tickets {
-        ticket.wait().expect("server alive");
+/// Asserts that `got` digests `samples`: count, min and max exactly, the
+/// mean to float round-off (the runtime sums in completion order), and
+/// every percentile at or above the exact nearest-rank sample and within
+/// the histogram's relative error bound of it.
+fn assert_digests(what: &str, got: &Summary, samples: impl Iterator<Item = f64>) {
+    let truth = samples.collect::<LatencyRecorder>().summary();
+    assert_eq!(
+        (got.count, got.min, got.max),
+        (truth.count, truth.min, truth.max),
+        "{what}"
+    );
+    assert!(
+        (got.mean - truth.mean).abs() <= 1e-12 * truth.mean.max(1.0),
+        "{what}"
+    );
+    let err = StreamingHistogram::relative_error_bound();
+    for (answer, exact) in [
+        (got.p50, truth.p50),
+        (got.p90, truth.p90),
+        (got.p95, truth.p95),
+        (got.p99, truth.p99),
+    ] {
+        assert!(
+            answer >= exact * (1.0 - 1e-12) && answer <= exact * (1.0 + err) * (1.0 + 1e-12),
+            "{what}: {answer} outside [{exact}, {exact} x (1 + {err:.4})]"
+        );
     }
+}
 
-    // The exposition still renders (scrape-time gauges stay live), but
-    // every plane-recorded family reads zero.
-    let text = server.prometheus_text();
-    assert_eq!(prom_value(&text, "vlite_admitted_total"), 0.0);
-    assert_eq!(prom_value(&text, "vlite_completed_total"), 0.0);
+/// Asserts that a `ServeReport` or `TenantReport` row says what the
+/// delivered `responses` say, judged against `slo_search` and (on
+/// co-scheduled servers) `slo_ttft`.
+macro_rules! assert_row {
+    ($row:expr, $responses:expr, $slo_search:expr, $slo_ttft:expr) => {{
+        let (row, rs): (_, &[&SearchResponse]) = (&$row, &$responses);
+        let slo_ttft: Option<f64> = $slo_ttft;
+        let share = |met: &dyn Fn(&SearchResponse) -> bool| {
+            rs.iter().filter(|r| met(r)).count() as f64 / rs.len() as f64
+        };
+        let generated = || rs.iter().filter_map(|r| r.timings.generation);
+        assert_eq!(row.completed, rs.len() as u64);
+        let sheds = rs.len() - generated().count();
+        assert_eq!(row.gen_sheds, slo_ttft.map_or(0, |_| sheds as u64));
+        assert_eq!(
+            row.slo_attainment,
+            share(&|r| r.timings.search <= $slo_search)
+        );
+        let ttft_met = |slo| share(&|r| r.timings.generation.is_some_and(|g| g.ttft <= slo));
+        assert_eq!(row.ttft_attainment, slo_ttft.map_or(0.0, ttft_met));
+        let hit: f64 = rs.iter().map(|r| r.hit_rate).sum();
+        assert!((row.mean_hit_rate - hit / rs.len() as f64).abs() < 1e-9);
+        assert_digests("queue", &row.queue, rs.iter().map(|r| r.timings.queue));
+        assert_digests("search", &row.search, rs.iter().map(|r| r.timings.search));
+        assert_digests("e2e", &row.e2e, rs.iter().map(|r| r.timings.e2e));
+        assert_digests("ttft", &row.ttft, generated().map(|g| g.ttft));
+    }};
+}
 
-    let obs = server.obs_handle();
+#[test]
+fn report_matches_an_oracle_recomputed_from_every_response() {
+    let corpus = corpus();
+
+    // Two tenants with different search SLOs: tenant 0's is unmeetably
+    // tight, tenant 1's generous, and the global one (50 ms) in between —
+    // a tenant judged against the wrong target shows up at once.
+    let mut two_tenants = config();
+    let slos = [1e-6, 10.0];
+    two_tenants.tenants = slos
+        .iter()
+        .map(|&slo_search| TenantSpec {
+            weight: 1,
+            queue_capacity: 256,
+            slo_search,
+        })
+        .collect();
+    let slo_search = two_tenants.real.slo_search;
+    let server = RagServer::start(&corpus, two_tenants).expect("server starts");
+    let tickets: Vec<_> = corpus
+        .queries(96, 41)
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let tenant = TenantId((i % 2) as u16);
+            server.submit_for(tenant, q.to_vec()).expect("admitted")
+        })
+        .collect();
+    let responses: Vec<SearchResponse> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("served"))
+        .collect();
     let report = server.shutdown();
-    assert!(!obs.enabled());
-    assert_eq!(obs.completed.get(), 0);
-    assert!(obs.recent_traces().is_empty());
-    assert!(obs.slow_traces().is_empty());
-    assert!(obs.journal_snapshot().is_empty());
-    // The exact report never depended on the plane.
-    assert_eq!(report.completed, 16);
+    let all: Vec<&SearchResponse> = responses.iter().collect();
+    assert_row!(report, all, slo_search, None);
+    for (t, row) in report.tenants.iter().enumerate() {
+        let mine: Vec<&SearchResponse> = all
+            .iter()
+            .copied()
+            .filter(|r| r.tenant.index() == t)
+            .collect();
+        assert_row!(row, mine, slos[t], None);
+    }
+    assert_eq!(report.tenants[0].slo_attainment, 0.0);
+    assert_eq!(report.tenants[1].slo_attainment, 1.0);
+
+    // Co-scheduled, every request carrying its own budget under an
+    // enforcing policy: tight budgets shed at admission, in the queue or
+    // at generation admission; generous ones finish. Only delivered
+    // responses count, and generation sheds carry no generation timings.
+    let mut cosched = config();
+    let generation = GenerationConfig::tiny();
+    let slo_ttft = generation.slo_ttft;
+    cosched.generation = Some(generation);
+    cosched.deadline = DeadlinePolicy {
+        enforce: true,
+        ..DeadlinePolicy::default()
+    };
+    let server = RagServer::start(&corpus, cosched).expect("server starts");
+    let budgets_ms = [1, 4, 20, 10_000];
+    let tickets: Vec<_> = corpus
+        .queries(64, 43)
+        .iter()
+        .zip(budgets_ms.iter().cycle())
+        .filter_map(|(q, &ms)| {
+            let budget = Duration::from_millis(ms);
+            let ticket = server.submit_with_deadline(TenantId(0), q.to_vec(), Some(budget));
+            ticket.ok().map(|ticket| (budget.as_secs_f64(), ticket))
+        })
+        .collect();
+    let served: Vec<(f64, SearchResponse)> = tickets
+        .into_iter()
+        .filter_map(|(budget, ticket)| ticket.wait().map(|r| (budget, r)))
+        .collect();
+    let report = server.shutdown();
+    let all: Vec<&SearchResponse> = served.iter().map(|(_, r)| r).collect();
+    assert!(report.ttft.count > 0, "generous budgets finish generation");
+    assert_row!(report, all, slo_search, Some(slo_ttft));
+    assert_row!(report.tenants[0], all, slo_search, Some(slo_ttft));
+    let met = served
+        .iter()
+        .filter(|(budget, r)| r.timings.e2e <= *budget)
+        .count();
+    assert_eq!(report.deadline_met, met as u64);
+    assert_eq!(report.deadline_missed, (all.len() - met) as u64);
 }
 
 // The lock-freedom pin: concurrent writers plus a concurrent scraper, no
@@ -258,12 +358,13 @@ fn disabled_plane_records_nothing_and_report_is_unaffected() {
 // proptest); together they pin "recording never serializes on a lock".
 #[test]
 fn concurrent_recording_with_live_scrapes_loses_nothing() {
-    use vectorlite_rag::serve::TenantId;
-
-    let plane = Arc::new(ObsPlane::new(&ObsConfig {
-        slow_threshold_s: 0.5,
-        ..ObsConfig::default()
-    }));
+    let plane = Arc::new(ObsPlane::new(
+        &ObsConfig {
+            slow_threshold_s: 0.5,
+            ..ObsConfig::default()
+        },
+        1,
+    ));
     let writers = 8;
     let per_writer: u64 = 20_000;
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -295,15 +396,18 @@ fn concurrent_recording_with_live_scrapes_loses_nothing() {
                         e2e: 1e-4 + 1e-3 * (1.0 + (i % 7) as f64),
                         generation: None,
                     };
-                    plane.on_request(
-                        w * per_writer + i,
-                        TenantId(0),
-                        i,
-                        &timings,
-                        true,
-                        None,
-                        false,
-                    );
+                    plane.on_request(&Completion {
+                        id: w * per_writer + i,
+                        tenant: TenantId(0),
+                        admitted_ns: i,
+                        timings: &timings,
+                        hit_rate: 1.0,
+                        search_met: true,
+                        tenant_search_met: true,
+                        ttft_met: None,
+                        shed: false,
+                        deadline: None,
+                    });
                 }
             })
         })
@@ -316,8 +420,8 @@ fn concurrent_recording_with_live_scrapes_loses_nothing() {
 
     let total = writers * per_writer;
     assert_eq!(plane.admitted.get(), total);
-    assert_eq!(plane.completed.get(), total);
-    assert_eq!(plane.stage("search").expect("stage").count(), total);
-    assert_eq!(plane.stage("e2e").expect("stage").count(), total);
+    assert_eq!(plane.totals.completed.get(), total);
+    assert_eq!(plane.totals.stage("search").expect("stage").count(), total);
+    assert_eq!(plane.totals.stage("e2e").expect("stage").count(), total);
     assert!(scrapes > 0, "scraper ran concurrently with the writers");
 }
