@@ -211,11 +211,11 @@ pub fn rules() -> &'static [Rule] {
         },
         Rule {
             id: "bounded-recorders",
-            summary: "no unbounded per-request sample recorders (LatencyRecorder, SloTracker) in the serve path",
+            summary: "no unbounded per-request sample recorder (LatencyRecorder) in the serve path",
             include_tests: true,
             scope: &["crates/serve/src/"],
             allow: &[],
-            patterns: &[word(&["LatencyRecorder"]), word(&["SloTracker"])],
+            patterns: &[word(&["LatencyRecorder"])],
             check: Check::Forbid,
             message: "exact-sample recorder in the serve path; its memory and report cost grow \
                       with uptime — record into the obs plane's fixed-size instruments \

@@ -14,8 +14,8 @@
 //!    the in-process `ServeReport` the runtime hands back at shutdown;
 //! 4. scrapes `GET /v1/metrics` and asserts the Prometheus exposition's
 //!    counters equal the report's totals, then fetches `GET /v1/traces`
-//!    and `GET /v1/events` and checks the telemetry plane captured the
-//!    run.
+//!    and `GET /v1/events` and checks the trace and telemetry planes
+//!    captured the run.
 //!
 //! Artifacts: `results/http_smoke.csv` (per-tenant rows) and
 //! `results/http_report.json` (the `/v1/report` body, verbatim).

@@ -5,7 +5,6 @@
 //!
 //! - [`LatencyRecorder`] — an exact-sample recorder with percentile queries,
 //!   used for TTFT / end-to-end latency distributions.
-//! - [`SloTracker`] — per-request SLO bookkeeping producing attainment rates.
 //! - [`Series`] and [`Table`] — lightweight result containers that render to
 //!   aligned text tables and CSV, mirroring the paper's figure series.
 //! - [`Summary`] — mean/min/max/percentile digest of a sample set.
@@ -41,14 +40,12 @@ pub mod cputime;
 pub mod obs;
 mod recorder;
 mod series;
-mod slo;
 pub mod spans;
 mod summary;
 mod table;
 
 pub use recorder::LatencyRecorder;
 pub use series::{Series, SeriesPoint};
-pub use slo::{SloOutcome, SloTracker};
 pub use summary::Summary;
 pub use table::Table;
 

@@ -4,17 +4,20 @@
 //! span names a stage of work with `[start_s, end_s]` boundaries, an
 //! optional parent span (forming a tree), and zero or more *links* to other
 //! trace ids that causally interacted with it — the batch a request rode
-//! in, the requests a migration stalled. The store is bounded: once more
-//! than `capacity` distinct traces are held, whole oldest traces are
-//! evicted (a trace is only useful complete — evicting individual spans
-//! would leave dangling parents).
+//! in, the requests a migration stalled. The store is bounded and keeps
+//! whole traces (a trace is only useful complete — evicting individual
+//! spans would leave dangling parents) under a tail-sampling policy: every
+//! new trace enters a *recent* ring of `capacity` traces, and a trace
+//! recorded with `keep` (a shed or SLO-missing request) also enters a
+//! *kept* set of `kept_capacity` traces, which a flood of ordinary traces
+//! cannot push out. A trace leaves the store once it is in neither.
 //!
 //! The recording side lives in `vlite-serve`; this module owns the data
 //! model, the bounded store, and the well-formedness checker that the
 //! property tests drive.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// One recorded span of work inside a trace.
@@ -37,73 +40,175 @@ pub struct SpanRecord {
     pub links: Vec<u128>,
 }
 
+/// One held trace and the retention queues that hold its id.
+struct Held {
+    spans: Vec<SpanRecord>,
+    recent: bool,
+    kept: bool,
+}
+
+#[derive(Default)]
 struct Inner {
-    traces: HashMap<u128, Vec<SpanRecord>>,
-    /// Trace ids in first-recorded order; the eviction queue.
-    order: VecDeque<u128>,
+    traces: HashMap<u128, Held>,
+    /// Trace ids in first-recorded order; the recent ring's eviction queue.
+    recent: VecDeque<u128>,
+    /// Kept trace ids in the order they were kept.
+    kept: VecDeque<u128>,
+    recent_evicted: u64,
+    kept_evicted: u64,
+    evicted: u64,
+}
+
+impl Inner {
+    /// Drops the oldest id of the recent ring (`from_recent`) or the kept
+    /// set, and the trace itself once no queue holds it.
+    fn evict_oldest(&mut self, from_recent: bool) {
+        let (queue, count) = if from_recent {
+            (&mut self.recent, &mut self.recent_evicted)
+        } else {
+            (&mut self.kept, &mut self.kept_evicted)
+        };
+        let Some(id) = queue.pop_front() else { return };
+        *count += 1;
+        if let Some(held) = self.traces.get_mut(&id) {
+            if from_recent {
+                held.recent = false;
+            } else {
+                held.kept = false;
+            }
+            if !held.recent && !held.kept {
+                self.traces.remove(&id);
+                self.evicted += 1;
+            }
+        }
+    }
+}
+
+/// The traces a [`SpanStore`] retains, read under one lock.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Retained {
+    /// The recent ring's traces, oldest first.
+    pub recent: Vec<(u128, Vec<SpanRecord>)>,
+    /// The kept set's traces, oldest first.
+    pub kept: Vec<(u128, Vec<SpanRecord>)>,
+    /// Trace ids pushed out of the recent ring so far.
+    pub recent_evicted: u64,
+    /// Trace ids pushed out of the kept set so far.
+    pub kept_evicted: u64,
 }
 
 /// Bounded, thread-safe store of span trees keyed by trace id.
 pub struct SpanStore {
     inner: Mutex<Inner>,
     capacity: usize,
-    evicted: AtomicU64,
+    kept_capacity: usize,
 }
 
 /// Local poisoned-lock recovery: span recording must keep working after an
 /// unrelated panic, and the data is append-mostly so a poisoned snapshot is
 /// still internally consistent.
-fn lock_recover<'a>(mutex: &'a Mutex<Inner>) -> MutexGuard<'a, Inner> {
+fn lock_recover(mutex: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl SpanStore {
-    /// A store holding at most `capacity` distinct traces. Capacity `0`
-    /// drops every span (counting each dropped trace as an eviction).
-    pub fn new(capacity: usize) -> Self {
+    /// A store whose recent ring holds at most `capacity` traces and whose
+    /// kept set holds at most `kept_capacity` more. A trace with room in
+    /// neither is dropped (and counted as evicted).
+    pub fn new(capacity: usize, kept_capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner {
-                traces: HashMap::new(),
-                order: VecDeque::new(),
-            }),
+            inner: Mutex::new(Inner::default()),
             capacity,
-            evicted: AtomicU64::new(0),
+            kept_capacity,
         }
     }
 
-    /// Records one span, evicting the oldest whole trace if `span` starts a
-    /// new trace beyond capacity.
+    /// Records one span: appended to its trace when held, otherwise the
+    /// start of a new trace in the recent ring.
     pub fn record(&self, span: SpanRecord) {
-        if self.capacity == 0 {
-            // relaxed: a monotonically increasing diagnostics-only counter;
-            // no other memory depends on its ordering.
-            self.evicted.fetch_add(1, Ordering::Relaxed);
+        self.record_trace(span.trace_id, vec![span], false);
+    }
+
+    /// Records `spans` of trace `trace_id` under one lock: appended to the
+    /// trace when held, otherwise filed as a new trace in the recent ring.
+    /// With `keep` the trace also enters the kept set, so later traces in
+    /// the recent ring cannot evict it. Full queues evict their oldest id.
+    pub fn record_trace(&self, trace_id: u128, spans: Vec<SpanRecord>, keep: bool) {
+        let mut inner = lock_recover(&self.inner);
+        let (held, kept) = inner
+            .traces
+            .get(&trace_id)
+            .map_or((false, false), |h| (true, h.kept));
+        let to_recent = !held && self.capacity > 0;
+        let to_kept = keep && !kept && self.kept_capacity > 0;
+        if !held && !to_recent && !to_kept {
+            inner.evicted += 1;
             return;
         }
-        let mut inner = lock_recover(&self.inner);
-        if !inner.traces.contains_key(&span.trace_id) {
-            while inner.order.len() >= self.capacity {
-                if let Some(oldest) = inner.order.pop_front() {
-                    inner.traces.remove(&oldest);
-                    // relaxed: same diagnostics-only counter as above.
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
+        if to_recent {
+            while inner.recent.len() >= self.capacity {
+                inner.evict_oldest(true);
             }
-            inner.order.push_back(span.trace_id);
+            inner.recent.push_back(trace_id);
         }
-        inner.traces.entry(span.trace_id).or_default().push(span);
+        if to_kept {
+            while inner.kept.len() >= self.kept_capacity {
+                inner.evict_oldest(false);
+            }
+            inner.kept.push_back(trace_id);
+        }
+        match inner.traces.entry(trace_id) {
+            Entry::Occupied(held) => {
+                let held = held.into_mut();
+                held.kept |= to_kept;
+                held.spans.extend(spans);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(Held {
+                    spans,
+                    recent: to_recent,
+                    kept: to_kept,
+                });
+            }
+        }
     }
 
     /// All spans recorded for `trace_id`, in recording order.
     pub fn get(&self, trace_id: u128) -> Option<Vec<SpanRecord>> {
-        lock_recover(&self.inner).traces.get(&trace_id).cloned()
+        lock_recover(&self.inner)
+            .traces
+            .get(&trace_id)
+            .map(|h| h.spans.clone())
     }
 
-    /// Number of distinct traces currently held.
+    /// The recent ring and the kept set with the spans of each trace that
+    /// `select` accepts, read under one lock so every listed id is held at
+    /// that instant. Only selected traces are copied while the lock is
+    /// held.
+    pub fn retained(&self, select: impl Fn(&[SpanRecord]) -> bool) -> Retained {
+        let inner = lock_recover(&self.inner);
+        let list = |ids: &VecDeque<u128>| {
+            ids.iter()
+                .filter_map(|id| {
+                    let held = inner.traces.get(id)?;
+                    select(&held.spans).then(|| (*id, held.spans.clone()))
+                })
+                .collect()
+        };
+        Retained {
+            recent: list(&inner.recent),
+            kept: list(&inner.kept),
+            recent_evicted: inner.recent_evicted,
+            kept_evicted: inner.kept_evicted,
+        }
+    }
+
+    /// Number of distinct traces currently held (at most `capacity +
+    /// kept_capacity`).
     pub fn len(&self) -> usize {
-        lock_recover(&self.inner).order.len()
+        lock_recover(&self.inner).traces.len()
     }
 
     /// Whether no traces are held.
@@ -111,10 +216,10 @@ impl SpanStore {
         self.len() == 0
     }
 
-    /// Total whole traces evicted (or dropped at capacity 0) so far.
+    /// Whole traces that left the store (or were dropped for want of
+    /// room) so far.
     pub fn evicted(&self) -> u64 {
-        // relaxed: reading a diagnostics-only counter.
-        self.evicted.load(Ordering::Relaxed)
+        lock_recover(&self.inner).evicted
     }
 }
 
@@ -122,6 +227,7 @@ impl std::fmt::Debug for SpanStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpanStore")
             .field("capacity", &self.capacity)
+            .field("kept_capacity", &self.kept_capacity)
             .field("len", &self.len())
             .field("evicted", &self.evicted())
             .finish()
@@ -235,7 +341,7 @@ mod tests {
 
     #[test]
     fn store_keeps_whole_traces_and_evicts_oldest() {
-        let store = SpanStore::new(2);
+        let store = SpanStore::new(2, 0);
         store.record(span(1, 10, None, 0.0, 1.0));
         store.record(span(1, 11, Some(10), 0.2, 0.8));
         store.record(span(2, 20, None, 0.0, 1.0));
@@ -256,11 +362,59 @@ mod tests {
     }
 
     #[test]
+    fn kept_traces_outlive_a_flood_of_recent_ones() {
+        let ids =
+            |list: &[(u128, Vec<SpanRecord>)]| list.iter().map(|(id, _)| *id).collect::<Vec<_>>();
+        let store = SpanStore::new(2, 1);
+        store.record_trace(1, vec![span(1, 10, None, 0.0, 1.0)], true);
+        for trace in 2..10 {
+            store.record(span(
+                trace,
+                u64::try_from(trace).unwrap() * 10,
+                None,
+                0.0,
+                1.0,
+            ));
+        }
+        assert!(store.get(1).is_some(), "the kept trace survives the flood");
+        assert_eq!(store.len(), 3, "two recent + one kept");
+        let retained = store.retained(|_| true);
+        assert_eq!(ids(&retained.recent), vec![8, 9]);
+        assert_eq!(ids(&retained.kept), vec![1]);
+        assert_eq!(retained.recent_evicted, 7, "ids 1..=7 left the recent ring");
+        assert_eq!(
+            store.evicted(),
+            6,
+            "trace 1 left the ring but is still held"
+        );
+
+        // A newer kept trace displaces the older one, which is then gone;
+        // it also enters the recent ring, pushing trace 8 out.
+        store.record_trace(20, vec![span(20, 200, None, 0.0, 1.0)], true);
+        assert!(store.get(1).is_none() && store.get(8).is_none());
+        assert_eq!(store.retained(|_| true).kept_evicted, 1);
+        assert_eq!(store.len(), 2);
+
+        // Keeping a trace already in the recent ring appends its spans;
+        // trace 20 leaves the kept set but stays in the recent ring.
+        store.record_trace(9, vec![span(9, 91, Some(90), 0.1, 0.9)], true);
+        assert_eq!(store.get(9).expect("held").len(), 2);
+        let retained = store.retained(|_| true);
+        assert_eq!(ids(&retained.kept), vec![9]);
+        assert_eq!(ids(&retained.recent), vec![9, 20]);
+        // Only the traces the predicate selects are listed.
+        let retained = store.retained(|spans| spans.len() == 2);
+        assert_eq!(ids(&retained.kept), vec![9]);
+        assert_eq!(ids(&retained.recent), vec![9]);
+    }
+
+    #[test]
     fn zero_capacity_drops_everything() {
-        let store = SpanStore::new(0);
+        let store = SpanStore::new(0, 0);
         store.record(span(1, 1, None, 0.0, 1.0));
+        store.record_trace(2, vec![span(2, 2, None, 0.0, 1.0)], true);
         assert!(store.is_empty());
-        assert_eq!(store.evicted(), 1);
+        assert_eq!(store.evicted(), 2);
         assert!(store.get(1).is_none());
     }
 

@@ -294,12 +294,13 @@ impl StoreConfig {
 /// ([`TracePlane`](crate::trace::TracePlane)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
-    /// Master switch. When `false` no spans are recorded, no profiler
-    /// thread is spawned and the watchdog never fires; the trace/profile/
-    /// alerts endpoints answer with empty bodies.
-    pub enabled: bool,
-    /// Distinct traces retained before whole oldest traces are evicted.
+    /// Capacity of the recent ring: the latest request, batch and
+    /// migration traces, evicted whole and oldest first.
     pub trace_capacity: usize,
+    /// Capacity of the kept set: request traces that were shed or missed
+    /// their search, TTFT or deadline target, held apart so a flood of
+    /// ordinary traces can never evict the interesting outliers.
+    pub slow_traces: usize,
     /// Sampling-profiler period in seconds (real clocks only; virtual-
     /// clock runs sample explicitly via
     /// [`TracePlane::sample_now`](crate::trace::TracePlane::sample_now)).
@@ -321,8 +322,8 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             trace_capacity: 512,
+            slow_traces: 64,
             sample_interval_s: 0.050,
             slo_target: 0.95,
             fast_window_s: 60.0,
@@ -441,12 +442,11 @@ pub struct ServeConfig {
     /// enforce it (shed/degrade) or only measure burn, and the cost
     /// estimates the degradation ladder scales against.
     pub deadline: DeadlinePolicy,
-    /// Telemetry-plane configuration (on by default): live lock-free
-    /// metrics, trace rings, and the unified event journal behind
-    /// `GET /v1/metrics`, `/v1/traces` and `/v1/events`.
+    /// Telemetry-plane configuration: live lock-free metrics and the
+    /// unified event journal behind `GET /v1/metrics` and `/v1/events`.
     pub obs: crate::obs::ObsConfig,
-    /// Causal-tracing configuration (on by default): span trees behind
-    /// `GET /v1/trace/{id}`, the per-stage sampling profiler behind
+    /// Causal-tracing configuration: span trees behind `GET /v1/traces`
+    /// and `/v1/trace/{id}`, the per-stage sampling profiler behind
     /// `GET /v1/profile`, and the SLO burn-rate watchdog behind
     /// `GET /v1/alerts`.
     pub trace: TraceConfig,

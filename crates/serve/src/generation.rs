@@ -341,9 +341,8 @@ pub(crate) struct GenWork {
     pub deadline: Option<SimTime>,
     /// The request's trace id for causal span recording.
     pub trace: TraceId,
-    /// The trace id of the batch span the request's search rode, when
-    /// tracing is enabled.
-    pub batch_trace: Option<u128>,
+    /// The trace id of the batch span the request's search rode.
+    pub batch_trace: u128,
     /// Queue/search phases measured by the dispatcher, in seconds.
     pub queue: f64,
     pub search: f64,

@@ -6,7 +6,7 @@
 //! | `POST /v1/search` (+ `X-Tenant`, `traceparent`) | [`RagServer::submit_with_trace`], blocks on the [`Ticket`](crate::Ticket), streams the merged result back with a `traceparent` response header |
 //! | `GET /v1/report` | [`RagServer::report`] as JSON |
 //! | `GET /v1/metrics` | [`RagServer::prometheus_text`] + frontend uptime, as Prometheus text exposition |
-//! | `GET /v1/traces` | the recent + slow request-trace rings as JSON |
+//! | `GET /v1/traces` | the request span trees in the trace store's recent ring and kept (`slow`: shed or target-missing) set, as JSON |
 //! | `GET /v1/trace/{id}` | one trace's causal span tree (`?format=chrome` for a `chrome://tracing` export) |
 //! | `GET /v1/profile` | per-stage wall vs CPU profile + collapsed sampler stacks |
 //! | `GET /v1/alerts` | SLO burn-rate watchdog states per signal |
@@ -392,7 +392,7 @@ fn route(inner: &FrontendInner, head: &RequestHead<'_>, body: &[u8]) -> Reply {
             headers: Vec::new(),
             content_type: PROM_CT,
         },
-        ("GET", "/v1/traces") => Reply::json(OK, inner.server.obs().traces_json().render()),
+        ("GET", "/v1/traces") => Reply::json(OK, inner.server.trace_plane().traces_json().render()),
         ("GET", "/v1/events") => events(inner, head),
         ("GET", "/v1/profile") => {
             Reply::json(OK, inner.server.trace_plane().profile_json().render())

@@ -64,10 +64,14 @@
 //!   `GET /healthz` over `std::net::TcpListener`, thread-per-connection
 //!   with keep-alive.
 //! - [`obs`] — the always-on telemetry plane ([`ObsPlane`]): the single
-//!   record of every completed request in lock-free counters and stage
-//!   histograms (server-wide and per tenant), per-request trace timelines
-//!   ([`RequestTrace`]), and the bounded unified event journal behind the
-//!   three observability endpoints.
+//!   count of every completed request in lock-free counters and stage
+//!   histograms (server-wide and per tenant), and the bounded unified
+//!   event journal, behind `GET /v1/metrics` and `GET /v1/events`.
+//! - [`trace`] — the always-on causal-tracing plane ([`TracePlane`]):
+//!   each request's one timeline, a span tree linked to the batch it rode,
+//!   held in a recent ring plus a kept set for shed and target-missing
+//!   requests, behind `GET /v1/traces` and `GET /v1/trace/{id}`; plus the
+//!   per-stage profiler and the SLO burn-rate watchdog.
 //! - [`loadgen`] — open-loop Poisson load generation with a rotating-hot-set
 //!   query source for drift experiments, single- and multi-tenant, in
 //!   process or over the HTTP frontend's socket.
@@ -126,7 +130,7 @@ pub use control::RepartitionEvent;
 pub use dispatch::{hybrid_search_batch, run_dispatcher, DispatchOutcome};
 pub use http::HttpFrontend;
 pub use migrate::MigrationEvent;
-pub use obs::{BoundedRing, ObsConfig, ObsEvent, ObsPlane, RequestTrace, Severity, TraceSpan};
+pub use obs::{BoundedRing, ObsConfig, ObsEvent, ObsPlane, Severity};
 pub use report::{ServeReport, StoreReport, TenantReport};
 pub use request::{
     AdmissionError, GenerationTimings, RequestTimings, SearchResponse, TenantId, Ticket,

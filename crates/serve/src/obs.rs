@@ -9,22 +9,18 @@
 //!   readable at any moment while the runtime keeps serving: the
 //!   `GET /v1/metrics` Prometheus exposition and
 //!   [`ServeReport`](crate::ServeReport) both read it.
-//! - [`RequestTrace`] — a per-request timeline of stage spans (queue →
-//!   search → gen-queue → prefill → first token → decode) assembled from
-//!   the existing [`RequestTimings`], kept in a bounded ring of recent
-//!   traces plus a separate always-captured slow-trace ring
-//!   ([`ObsConfig::slow_threshold_s`]), served as JSON by `GET /v1/traces`.
 //! - [`ObsEvent`] + a bounded journal — one ordered stream for the
 //!   runtime's discrete events (repartitions, tier migrations, sheds, SLO
 //!   breaches), served by `GET /v1/events`.
 //! - [`BoundedRing`] — the fixed-capacity, eviction-counting ring behind
-//!   the trace and journal stores, also capping the repartition/migration
-//!   histories that previously grew without bound.
+//!   the journal and the repartition/migration histories.
 //!
-//! Each completed request is recorded exactly once, by one
-//! [`ObsPlane::on_request`] call. Counts, SLO attainment, hit-rate means
-//! and deadline counters read back exactly; latency percentiles carry the
-//! histograms' [`relative_error_bound`](StreamingHistogram::relative_error_bound).
+//! Each completed request is counted exactly once, by one
+//! [`ObsPlane::on_request`] call; its timeline is the span tree the
+//! [`TracePlane`](crate::TracePlane) records. Counts, SLO attainment,
+//! hit-rate means and deadline counters read back exactly; latency
+//! percentiles carry the histograms'
+//! [`relative_error_bound`](StreamingHistogram::relative_error_bound).
 //! Memory is fixed at construction, whatever the uptime.
 
 use std::collections::VecDeque;
@@ -39,14 +35,6 @@ use crate::request::{RequestTimings, TenantId};
 /// Telemetry-plane knobs ([`ServeConfig::obs`](crate::ServeConfig)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
-    /// Capacity of the recent-trace ring.
-    pub recent_traces: usize,
-    /// Capacity of the slow-trace ring (kept separately so a flood of
-    /// fast requests can never evict the interesting outliers).
-    pub slow_traces: usize,
-    /// End-to-end latency (seconds) at or above which a request's trace is
-    /// always captured into the slow ring. Sheds are always slow.
-    pub slow_threshold_s: f64,
     /// Capacity of the unified event journal.
     pub journal_capacity: usize,
     /// Capacity of the repartition-history ring (the previously unbounded
@@ -60,9 +48,6 @@ pub struct ObsConfig {
 impl Default for ObsConfig {
     fn default() -> Self {
         Self {
-            recent_traces: 256,
-            slow_traces: 64,
-            slow_threshold_s: 0.25,
             journal_capacity: 1024,
             repartition_capacity: 1024,
             migration_capacity: 1024,
@@ -74,7 +59,7 @@ impl Default for ObsConfig {
 ///
 /// This is *not* a hot-path instrument — pushes take a (short, dedicated)
 /// mutex — it is the bounded replacement for the runtime's grow-forever
-/// event vectors, and the store behind the trace rings and journal.
+/// event vectors, and the store behind the journal.
 #[derive(Debug)]
 pub struct BoundedRing<T> {
     items: Mutex<VecDeque<T>>,
@@ -132,126 +117,6 @@ impl<T: Clone> BoundedRing<T> {
     pub fn evicted(&self) -> u64 {
         // relaxed: stat counter read for reporting only.
         self.evicted.load(Ordering::Relaxed)
-    }
-}
-
-/// One stage span of a [`RequestTrace`], in seconds relative to the
-/// request's admission. A zero-length span is an instant marker (the
-/// `first_token` event).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Stage name (`queue`, `search`, `gen_queue`, `prefill`,
-    /// `first_token`, `decode`).
-    pub stage: &'static str,
-    /// Span start, seconds after admission.
-    pub start_s: f64,
-    /// Span end, seconds after admission.
-    pub end_s: f64,
-}
-
-/// The timeline of one served request, assembled from its
-/// [`RequestTimings`] at the moment its lifecycle ends.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RequestTrace {
-    /// Request id (assigned at admission).
-    pub id: u64,
-    /// The submitting tenant.
-    pub tenant: TenantId,
-    /// Admission instant, nanoseconds on the server's clock.
-    pub admitted_ns: u64,
-    /// Admission → final delivery, seconds.
-    pub e2e_s: f64,
-    /// Whether KV-aware admission shed the request (retrieval-only reply,
-    /// no generation spans).
-    pub shed: bool,
-    /// Stage spans in timeline order.
-    pub spans: Vec<TraceSpan>,
-}
-
-impl RequestTrace {
-    /// Builds the timeline from one request's timings. Span boundaries are
-    /// cumulative offsets from admission, so the trace renders directly as
-    /// a waterfall.
-    pub fn from_timings(
-        id: u64,
-        tenant: TenantId,
-        admitted_ns: u64,
-        timings: &RequestTimings,
-        shed: bool,
-    ) -> Self {
-        let mut spans = Vec::with_capacity(6);
-        let queue_end = timings.queue;
-        let search_end = queue_end + timings.search;
-        spans.push(TraceSpan {
-            stage: "queue",
-            start_s: 0.0,
-            end_s: queue_end,
-        });
-        spans.push(TraceSpan {
-            stage: "search",
-            start_s: queue_end,
-            end_s: search_end,
-        });
-        if let Some(gen) = &timings.generation {
-            let gen_queue_end = search_end + gen.gen_queue;
-            let prefill_end = gen_queue_end + gen.prefill;
-            spans.push(TraceSpan {
-                stage: "gen_queue",
-                start_s: search_end,
-                end_s: gen_queue_end,
-            });
-            spans.push(TraceSpan {
-                stage: "prefill",
-                start_s: gen_queue_end,
-                end_s: prefill_end,
-            });
-            // The instant the user first saw output — by construction
-            // ttft = queue + search + gen_queue + prefill.
-            spans.push(TraceSpan {
-                stage: "first_token",
-                start_s: gen.ttft,
-                end_s: gen.ttft,
-            });
-            spans.push(TraceSpan {
-                stage: "decode",
-                start_s: prefill_end,
-                end_s: prefill_end + gen.decode,
-            });
-        }
-        Self {
-            id,
-            tenant,
-            admitted_ns,
-            e2e_s: timings.e2e,
-            shed,
-            spans,
-        }
-    }
-
-    /// The trace as a JSON value (what `GET /v1/traces` serves per entry).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("id".into(), Json::Num(self.id as f64)),
-            ("tenant".into(), Json::Num(f64::from(self.tenant.0))),
-            ("admitted_ns".into(), Json::Num(self.admitted_ns as f64)),
-            ("e2e_s".into(), Json::Num(self.e2e_s)),
-            ("shed".into(), Json::Bool(self.shed)),
-            (
-                "spans".into(),
-                Json::Arr(
-                    self.spans
-                        .iter()
-                        .map(|s| {
-                            Json::Obj(vec![
-                                ("stage".into(), Json::Str(s.stage.into())),
-                                ("start_s".into(), Json::Num(s.start_s)),
-                                ("end_s".into(), Json::Num(s.end_s)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -482,11 +347,10 @@ impl Outcomes {
 
 /// The live telemetry plane: one instance per server, shared by every
 /// runtime thread. All counter/histogram recording is lock-free
-/// ([`vlite_metrics::obs`]); only trace/journal capture takes a (short,
+/// ([`vlite_metrics::obs`]); only journal capture takes a (short,
 /// dedicated) ring mutex.
 #[derive(Debug)]
 pub struct ObsPlane {
-    slow_threshold_s: f64,
     /// Requests admitted into a queue (mirrors `QueueStats::admitted`).
     pub admitted: Counter,
     /// Requests rejected by a full tenant queue (mirrors
@@ -520,8 +384,6 @@ pub struct ObsPlane {
     /// Budget-burn ratio histograms (stage seconds over budget seconds),
     /// indexed like [`BURN_STAGES`].
     pub(crate) burn_hist: [StreamingHistogram; 3],
-    recent: BoundedRing<RequestTrace>,
-    slow: BoundedRing<RequestTrace>,
     journal: BoundedRing<ObsEvent>,
 }
 
@@ -530,7 +392,6 @@ impl ObsPlane {
     /// tenant.
     pub fn new(config: &ObsConfig, tenants: usize) -> Self {
         Self {
-            slow_threshold_s: config.slow_threshold_s,
             admitted: Counter::new(),
             rejected: Counter::new(),
             totals: Outcomes::default(),
@@ -544,8 +405,6 @@ impl ObsPlane {
             degraded_probes: Counter::new(),
             cold_skips: Counter::new(),
             burn_hist: std::array::from_fn(|_| StreamingHistogram::new()),
-            recent: BoundedRing::new(config.recent_traces),
-            slow: BoundedRing::new(config.slow_traces),
             journal: BoundedRing::new(config.journal_capacity),
         }
     }
@@ -621,7 +480,7 @@ impl ObsPlane {
 
     /// One request's lifecycle ended: record it into the totals and its
     /// tenant's slice, the budget-burn histograms and deadline counters,
-    /// journal its SLO breaches, and capture its trace.
+    /// and journal its SLO breaches.
     pub fn on_request(&self, c: &Completion<'_>) {
         self.totals.record(c, c.search_met);
         if let Some(tenant) = self.tenants.get(c.tenant.index()) {
@@ -667,11 +526,6 @@ impl ObsPlane {
                 );
             }
         }
-        let trace = RequestTrace::from_timings(id, tenant, c.admitted_ns, timings, c.shed);
-        if c.shed || timings.e2e >= self.slow_threshold_s {
-            self.slow.push(trace.clone());
-        }
-        self.recent.push(trace);
     }
 
     /// Appends one event to the unified journal.
@@ -684,36 +538,9 @@ impl ObsPlane {
         });
     }
 
-    /// The recent-trace ring, oldest first.
-    pub fn recent_traces(&self) -> Vec<RequestTrace> {
-        self.recent.snapshot()
-    }
-
-    /// The slow-trace ring (threshold breaches and sheds), oldest first.
-    pub fn slow_traces(&self) -> Vec<RequestTrace> {
-        self.slow.snapshot()
-    }
-
     /// The unified event journal, oldest first.
     pub fn journal_snapshot(&self) -> Vec<ObsEvent> {
         self.journal.snapshot()
-    }
-
-    /// The recent- and slow-trace rings as the `/v1/traces` JSON body.
-    pub fn traces_json(&self) -> Json {
-        let ring = |r: &BoundedRing<RequestTrace>| {
-            Json::Arr(r.snapshot().iter().map(RequestTrace::to_json).collect())
-        };
-        Json::Obj(vec![
-            ("recent".into(), ring(&self.recent)),
-            ("slow".into(), ring(&self.slow)),
-            ("slow_threshold_s".into(), Json::Num(self.slow_threshold_s)),
-            (
-                "recent_evicted".into(),
-                Json::Num(self.recent.evicted() as f64),
-            ),
-            ("slow_evicted".into(), Json::Num(self.slow.evicted() as f64)),
-        ])
     }
 
     /// The journal as the `/v1/events` JSON body.
@@ -741,14 +568,10 @@ impl ObsPlane {
         ])
     }
 
-    /// Trace/journal ring occupancy and evictions, for the exposition's
+    /// Journal ring occupancy and evictions, for the exposition's
     /// bookkeeping gauges.
-    pub fn ring_stats(&self) -> [(&'static str, usize, u64); 3] {
-        [
-            ("recent_traces", self.recent.len(), self.recent.evicted()),
-            ("slow_traces", self.slow.len(), self.slow.evicted()),
-            ("journal", self.journal.len(), self.journal.evicted()),
-        ]
+    pub fn ring_stats(&self) -> [(&'static str, usize, u64); 1] {
+        [("journal", self.journal.len(), self.journal.evicted())]
     }
 
     /// Writes the plane's own metric families (counters + stage
@@ -907,7 +730,6 @@ pub(crate) fn prom_label_escape(value: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::GenerationTimings;
 
     fn timings(e2e: f64) -> RequestTimings {
         RequestTimings {
@@ -954,51 +776,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_spans_are_cumulative_offsets() {
-        let t = RequestTimings {
-            queue: 0.001,
-            search: 0.002,
-            e2e: 0.020,
-            generation: Some(GenerationTimings {
-                gen_queue: 0.003,
-                prefill: 0.004,
-                decode: 0.010,
-                ttft: 0.010,
-            }),
-        };
-        let trace = RequestTrace::from_timings(7, TenantId(1), 42, &t, false);
-        let stages: Vec<&str> = trace.spans.iter().map(|s| s.stage).collect();
-        assert_eq!(
-            stages,
-            [
-                "queue",
-                "search",
-                "gen_queue",
-                "prefill",
-                "first_token",
-                "decode"
-            ]
-        );
-        // queue + search + gen_queue + prefill == ttft == the marker.
-        assert!((trace.spans[3].end_s - 0.010).abs() < 1e-12);
-        assert_eq!(trace.spans[4].start_s, trace.spans[4].end_s);
-        // decode ends at e2e.
-        assert!((trace.spans[5].end_s - 0.020).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retrieval_only_trace_has_no_generation_spans() {
-        let trace = RequestTrace::from_timings(1, TenantId(0), 0, &timings(0.003), false);
-        assert_eq!(trace.spans.len(), 2);
-    }
-
-    #[test]
-    fn slow_and_shed_traces_land_in_the_slow_ring() {
-        let config = ObsConfig {
-            slow_threshold_s: 0.01,
-            ..ObsConfig::default()
-        };
-        let plane = ObsPlane::new(&config, 1);
+    fn completions_count_sheds_and_breaches() {
+        let plane = ObsPlane::new(&ObsConfig::default(), 1);
         let (fast, slow) = (timings(0.003), timings(0.5));
         plane.on_request(&completion(0, &fast, true));
         plane.on_request(&completion(1, &slow, false));
@@ -1007,9 +786,6 @@ mod tests {
             shed: true,
             ..completion(2, &timings(0.004), true)
         });
-        assert_eq!(plane.recent.len(), 3);
-        let slow: Vec<u64> = plane.slow.snapshot().iter().map(|t| t.id).collect();
-        assert_eq!(slow, vec![1, 2], "the slow request and the shed");
         assert_eq!(plane.totals.completed.get(), 3);
         assert_eq!(plane.totals.gen_sheds.get(), 1);
         assert_eq!(plane.totals.search_slo_breaches.get(), 1);

@@ -223,7 +223,7 @@ pub struct ServeReport {
     /// Budget-burn ratio (generation seconds / budget seconds).
     pub burn_gen: Summary,
     /// Per-stage wall vs CPU profile from the trace plane's stage timers
-    /// and sampling profiler (empty when tracing is disabled).
+    /// and sampling profiler, one row per pipeline stage.
     pub profile: Vec<StageProfile>,
 }
 

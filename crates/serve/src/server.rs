@@ -51,9 +51,8 @@ struct BatchWork {
     k: usize,
     started: SimTime,
     generation: u64,
-    /// The shared batch span every member's trace links to (`None` when
-    /// tracing is disabled).
-    trace: Option<BatchCtx>,
+    /// The shared batch span every member's trace links to.
+    trace: BatchCtx,
 }
 
 /// Everything the worker threads see through the dispatcher channel.
@@ -78,8 +77,8 @@ pub(crate) struct Finished<'a> {
     pub id: u64,
     pub tenant: TenantId,
     pub trace: TraceId,
-    /// The batch span the request's search rode, when tracing.
-    pub batch_trace: Option<u128>,
+    /// The trace id of the batch span the request's search rode.
+    pub batch_trace: u128,
     pub enqueued: SimTime,
     pub deadline: Option<SimTime>,
     /// When the response left: judged against the deadline and fed to the
@@ -118,11 +117,11 @@ pub(crate) struct Shared {
     /// discipline as `repartitions`.
     pub(crate) migrations: BoundedRing<MigrationEvent>,
     /// The always-on telemetry plane (lock-free counters/histograms,
-    /// trace rings, event journal): the single record of every request,
-    /// which [`RagServer::report`] reads.
+    /// event journal): the single count of every request, which
+    /// [`RagServer::report`] reads.
     pub(crate) obs: Arc<ObsPlane>,
-    /// Causal tracing, per-stage CPU profiling and the SLO burn-rate
-    /// watchdog (cheap no-ops when disabled by config).
+    /// Causal tracing (each request's one timeline), per-stage CPU
+    /// profiling and the SLO burn-rate watchdog.
     pub(crate) trace: Arc<TracePlane>,
     /// The tiered storage engine the scan path reads through; `None`
     /// keeps the pre-store behaviour (in-index lists, routing-only
@@ -192,7 +191,9 @@ impl Shared {
     /// Records one finished request everywhere it is measured, in one
     /// call: the telemetry plane (totals judged against the global
     /// `slo_search`, the tenant's slice against its own), the shed
-    /// journal, the request's span tree and the burn-rate watchdog.
+    /// journal, the request's span tree (kept past the recent ring when
+    /// the request was shed or missed a target) and the burn-rate
+    /// watchdog.
     pub(crate) fn record_completion(&self, done: &Finished<'_>) {
         let timings = done.timings;
         let search_met = timings.search <= self.slo_search;
@@ -203,6 +204,7 @@ impl Shared {
             let budget = d.duration_since(done.enqueued).as_secs_f64().max(1e-12);
             (budget, done.at <= d)
         });
+        let tenant_search_met = timings.search <= self.tenants[done.tenant.index()].slo_search;
         self.obs.on_request(&Completion {
             id: done.id,
             tenant: done.tenant,
@@ -210,7 +212,7 @@ impl Shared {
             timings,
             hit_rate: done.hit_rate,
             search_met,
-            tenant_search_met: timings.search <= self.tenants[done.tenant.index()].slo_search,
+            tenant_search_met,
             ttft_met,
             shed: done.shed.is_some(),
             deadline,
@@ -238,9 +240,11 @@ impl Shared {
                 ),
             );
         }
+        let missed =
+            !tenant_search_met || ttft_met == Some(false) || deadline.is_some_and(|(_, met)| !met);
         self.trace.record_request(
             done.trace,
-            done.batch_trace,
+            Some(done.batch_trace),
             done.spans,
             timings.generation.map(|gen| GenSpans {
                 queue_s: gen.gen_queue,
@@ -248,6 +252,7 @@ impl Shared {
                 decode_s: gen.decode,
             }),
             shed.map(|(_, _, reason)| reason),
+            shed.is_some() || missed,
         );
         self.watch_slo(SIG_SEARCH, search_met, done.at);
         if let Some(met) = ttft_met {
@@ -382,6 +387,13 @@ impl RagServer {
     /// # Errors
     ///
     /// Propagates index-training errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the deployment and config disagree on shard count zero,
+    /// if the tenant table is invalid (zero weight or capacity), if the
+    /// generation config cannot fit its worst-case request in KV, or if
+    /// the control loop is keyed off TTFT without a generation stage.
     pub fn start_with_clock(
         corpus: &SyntheticCorpus,
         config: ServeConfig,
@@ -391,27 +403,9 @@ impl RagServer {
         Ok(Self::from_deployment_with_clock(deployment, config, clock))
     }
 
-    /// Starts the runtime over an already-built offline deployment, on the
-    /// wall clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the deployment and config disagree on shard count zero, or
-    /// if the tenant table is invalid (zero weight or capacity).
-    pub fn from_deployment(deployment: RealDeployment, config: ServeConfig) -> RagServer {
-        Self::from_deployment_with_clock(deployment, config, Arc::new(RealClock::new()))
-    }
-
-    /// Starts the runtime over an already-built offline deployment on an
-    /// explicit [`Clock`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the deployment and config disagree on shard count zero,
-    /// if the tenant table is invalid (zero weight or capacity), if the
-    /// generation config cannot fit its worst-case request in KV, or if
-    /// the control loop is keyed off TTFT without a generation stage.
-    pub fn from_deployment_with_clock(
+    /// Starts the runtime over the offline deployment
+    /// [`RagServer::start_with_clock`] built (panics as documented there).
+    fn from_deployment_with_clock(
         mut deployment: RealDeployment,
         config: ServeConfig,
         clock: Arc<dyn Clock>,
@@ -644,7 +638,7 @@ impl RagServer {
         // `sleep_until` *advances* scripted time, so a background sampler
         // would fast-forward deterministic tests; those pump
         // [`TracePlane::sample_now`] explicitly instead.
-        if shared.trace.enabled() && !shared.clock.is_virtual() {
+        if !shared.clock.is_virtual() {
             let trace_ = shared.trace.clone();
             let clock_ = shared.clock.clone();
             threads.push(
@@ -868,14 +862,14 @@ impl RagServer {
     }
 
     /// The live telemetry plane: lock-free counters/histograms (the
-    /// record [`RagServer::report`] reads), trace rings and the event
-    /// journal, readable at any moment without blocking the runtime.
+    /// record [`RagServer::report`] reads) and the event journal,
+    /// readable at any moment without blocking the runtime.
     pub fn obs(&self) -> &ObsPlane {
         &self.shared.obs
     }
 
     /// A clone of the telemetry plane's `Arc`, letting callers keep
-    /// scraping counters, traces and the journal after
+    /// scraping counters and the journal after
     /// [`RagServer::shutdown`] has consumed the server (by then every
     /// worker has joined, so the values are final).
     pub fn obs_handle(&self) -> Arc<ObsPlane> {
@@ -883,8 +877,8 @@ impl RagServer {
     }
 
     /// The causal-tracing plane: span trees, per-stage CPU profile rows,
-    /// and the SLO burn-rate watchdog behind `/v1/trace/{id}`,
-    /// `/v1/profile` and `/v1/alerts`.
+    /// and the SLO burn-rate watchdog behind `/v1/traces`,
+    /// `/v1/trace/{id}`, `/v1/profile` and `/v1/alerts`.
     pub fn trace_plane(&self) -> &TracePlane {
         &self.shared.trace
     }
@@ -1108,11 +1102,7 @@ impl RagServer {
             self.shared.placement_snapshot().1,
             // relaxed: monotonic stat counter read for reporting only.
             self.shared.worker_panics.load(Ordering::Relaxed),
-            if self.shared.trace.enabled() {
-                self.shared.trace.profile()
-            } else {
-                Vec::new()
-            },
+            self.shared.trace.profile(),
         )
     }
 
@@ -1293,6 +1283,7 @@ fn shed_expired(shared: &Shared, job: &Job, now: SimTime) {
         },
         None,
         Some("queue-expired"),
+        true,
     );
     shared.watch_slo(SIG_DEADLINE, false, now);
 }
@@ -1345,11 +1336,12 @@ fn shard_worker(
         let partials = scan_batch_or_queries(shared, snapshot.as_ref(), &batch, &per_query);
         let scan_end = shared.clock.now();
         shared.trace.stage_end(stage, scan_end);
-        if let Some(ctx) = &batch.trace {
-            shared
-                .trace
-                .record_scan(ctx, format!("scan:shard{shard}"), scan_start, scan_end);
-        }
+        shared.trace.record_scan(
+            &batch.trace,
+            format!("scan:shard{shard}"),
+            scan_start,
+            scan_end,
+        );
         if dispatch
             .send(DispatchMsg::ShardDone { shard, partials })
             .is_err()
@@ -1481,11 +1473,9 @@ fn cpu_worker(shared: &Shared, rx: &Receiver<Arc<BatchWork>>, dispatch: &Sender<
         }
         let scan_end = shared.clock.now();
         shared.trace.stage_end(stage, scan_end);
-        if let Some(ctx) = &batch.trace {
-            shared
-                .trace
-                .record_scan(ctx, "scan:cpu".to_string(), scan_start, scan_end);
-        }
+        shared
+            .trace
+            .record_scan(&batch.trace, "scan:cpu".to_string(), scan_start, scan_end);
     }
 }
 
@@ -1561,11 +1551,9 @@ fn dispatcher(
         if let Some(state) = &inflight {
             if state.completed == state.batch.jobs.len() {
                 shared.obs.on_batch(state.batch.jobs.len());
-                if let Some(ctx) = &state.batch.trace {
-                    shared
-                        .trace
-                        .end_batch(ctx, state.batch.started, shared.clock.now());
-                }
+                shared
+                    .trace
+                    .end_batch(&state.batch.trace, state.batch.started, shared.clock.now());
                 inflight = None;
                 if done_tx.send(()).is_err() {
                     return;
@@ -1641,7 +1629,7 @@ fn complete_query(
             enqueued: job.enqueued,
             deadline: job.deadline,
             trace: job.trace,
-            batch_trace: batch.trace.as_ref().map(|c| c.trace_id),
+            batch_trace: batch.trace.trace_id,
             queue,
             search,
             merged_at: now,
@@ -1662,7 +1650,7 @@ fn complete_query(
         id: job.id,
         tenant: job.tenant,
         trace: job.trace,
-        batch_trace: batch.trace.as_ref().map(|c| c.trace_id),
+        batch_trace: batch.trace.trace_id,
         enqueued: job.enqueued,
         deadline: job.deadline,
         at: now,

@@ -4,14 +4,20 @@
 //! The telemetry plane ([`crate::obs`]) answers *how slow* requests are;
 //! this module answers *why*. Three cooperating pieces:
 //!
-//! - **Span trees** ([`TracePlane::trace_spans`], `GET /v1/trace/{id}`):
-//!   every request carries a 128-bit trace id — accepted and emitted as a
-//!   W3C `traceparent` header — and its lifecycle is recorded as a
-//!   parent/child span tree (`request` → `queue`/`search`/generation
-//!   phases). Cross-request causality is explicit: all co-batched requests
-//!   share one *batch* span (in its own trace, linking every member's
-//!   trace id), per-shard scans are children of that batch span, and
-//!   migrations/repartitions record spans linked to the batch they stall.
+//! - **Span trees** ([`TracePlane::trace_spans`], `GET /v1/trace/{id}`,
+//!   `GET /v1/traces`): every request carries a 128-bit trace id —
+//!   accepted and emitted as a W3C `traceparent` header — and its
+//!   lifecycle is recorded once, as a parent/child span tree (`request` →
+//!   `queue`/`search`/generation phases). This tree is the request's only
+//!   timeline. Cross-request causality is explicit: all co-batched
+//!   requests share one *batch* span (in its own trace, linking every
+//!   member's trace id), per-shard scans are children of that batch span,
+//!   and migrations/repartitions record spans linked to the batch they
+//!   stall. Retention is tail-sampled: every trace enters a recent ring of
+//!   [`TraceConfig::trace_capacity`] traces, and a request that was shed or
+//!   missed a target is also kept in a set of
+//!   [`TraceConfig::slow_traces`] that the recent ring's churn cannot
+//!   evict.
 //! - **Per-stage profiling** ([`TracePlane::profile`], `GET /v1/profile`):
 //!   pipeline workers time their work sections against both the runtime
 //!   [`Clock`](crate::Clock) (wall) and `CLOCK_THREAD_CPUTIME_ID` (CPU),
@@ -193,7 +199,6 @@ pub struct StageTimer {
     stage: usize,
     wall_start_nanos: u64,
     cpu_start_nanos: u64,
-    live: bool,
 }
 
 /// Cross-request batch context: the shared batch span every co-batched
@@ -356,9 +361,8 @@ struct Watchdog {
 }
 
 /// The causal-tracing + profiling + alerting plane. One per
-/// [`RagServer`](crate::RagServer); cheap no-ops when disabled.
+/// [`RagServer`](crate::RagServer), always on.
 pub struct TracePlane {
-    enabled: bool,
     store: SpanStore,
     seed: u64,
     next_span: AtomicU64,
@@ -382,7 +386,6 @@ pub struct TracePlane {
 impl std::fmt::Debug for TracePlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TracePlane")
-            .field("enabled", &self.enabled)
             .field("store", &self.store)
             .finish()
     }
@@ -403,12 +406,7 @@ impl TracePlane {
         let bucket_s = (config.slow_window_s / 120.0).max(1e-6);
         let cap = 130; // slow window (120 buckets) plus slack for skew
         Self {
-            enabled: config.enabled,
-            store: SpanStore::new(if config.enabled {
-                config.trace_capacity
-            } else {
-                0
-            }),
+            store: SpanStore::new(config.trace_capacity, config.slow_traces),
             seed,
             next_span: AtomicU64::new(1),
             next_batch: AtomicU64::new(1),
@@ -429,11 +427,6 @@ impl TracePlane {
             bucket_s,
             sample_interval_s: config.sample_interval_s,
         }
-    }
-
-    /// Whether tracing is on at all.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Sampling period for the profiler thread.
@@ -468,13 +461,9 @@ impl TracePlane {
     // ---- span recording -------------------------------------------------
 
     /// Opens the shared batch span for a batch whose member requests carry
-    /// `members`. Returns `None` when tracing is disabled or the batch is
-    /// empty. The returned context travels with the batch; close it with
-    /// [`TracePlane::end_batch`].
-    pub fn begin_batch(&self, members: &[TraceId]) -> Option<BatchCtx> {
-        if !self.enabled || members.is_empty() {
-            return None;
-        }
+    /// `members`. The returned context travels with the batch; close it
+    /// with [`TracePlane::end_batch`].
+    pub fn begin_batch(&self, members: &[TraceId]) -> BatchCtx {
         // relaxed: a unique-id counter; only atomicity matters.
         let n = self.next_batch.fetch_add(1, Ordering::Relaxed);
         let ctx = BatchCtx {
@@ -483,15 +472,12 @@ impl TracePlane {
             members: members.iter().map(|t| t.0).collect(),
         };
         *lock_recover(&self.current_batch) = Some(ctx.clone());
-        Some(ctx)
+        ctx
     }
 
     /// Records the batch span (linking every member's trace id) and
     /// retires the batch from "currently in flight".
     pub fn end_batch(&self, ctx: &BatchCtx, start: SimTime, end: SimTime) {
-        if !self.enabled {
-            return;
-        }
         self.store.record(SpanRecord {
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
@@ -510,9 +496,6 @@ impl TracePlane {
     /// Records one scan-work child span (`scan:shard{n}` / `scan:cpu`)
     /// under the batch span.
     pub fn record_scan(&self, ctx: &BatchCtx, name: String, start: SimTime, end: SimTime) {
-        if !self.enabled {
-            return;
-        }
         self.store.record(SpanRecord {
             trace_id: ctx.trace_id,
             span_id: self.next_span_id(),
@@ -524,11 +507,13 @@ impl TracePlane {
         });
     }
 
-    /// Records one request's span tree: a `request` root spanning
-    /// admission → completion, `queue` and `search` children (the search
-    /// span links the batch trace the request rode), optional generation
-    /// phase children, and a zero-width `shed:{reason}` marker when the
-    /// request was shed.
+    /// Records one request's span tree under one store lock: a `request`
+    /// root spanning admission → completion, `queue` and `search` children
+    /// (the search span links the batch trace the request rode), optional
+    /// generation phase children, and a zero-width `shed:{reason}` marker
+    /// when the request was shed. With `keep` — the request was shed or
+    /// missed its search, TTFT or deadline target — the tree also enters
+    /// the kept set, where later traces cannot evict it.
     pub fn record_request(
         &self,
         trace: TraceId,
@@ -536,75 +521,60 @@ impl TracePlane {
         times: RequestSpanTimes,
         gen: Option<GenSpans>,
         shed: Option<&str>,
+        keep: bool,
     ) {
-        if !self.enabled {
-            return;
-        }
         // Clamp boundaries into a monotone chain so the recorded tree is
         // well-formed even if a real-clock stamp landed out of order.
         let t0 = times.enqueued_s;
         let t1 = times.search_start_s.max(t0);
         let t2 = times.search_end_s.max(t1);
         let t3 = times.end_s.max(t2);
-        let root = self.next_span_id();
-        self.store.record(SpanRecord {
-            trace_id: trace.0,
-            span_id: root,
-            parent_id: None,
-            name: "request".into(),
-            start_s: t0,
-            end_s: t3,
-            links: Vec::new(),
-        });
-        self.store.record(SpanRecord {
-            trace_id: trace.0,
-            span_id: self.next_span_id(),
-            parent_id: Some(root),
-            name: "queue".into(),
-            start_s: t0,
-            end_s: t1,
-            links: Vec::new(),
-        });
-        self.store.record(SpanRecord {
-            trace_id: trace.0,
-            span_id: self.next_span_id(),
-            parent_id: Some(root),
-            name: "search".into(),
-            start_s: t1,
-            end_s: t2,
-            links: batch.into_iter().collect(),
-        });
+        let n = 3 + if gen.is_some() { 3 } else { 0 } + u64::from(shed.is_some());
+        // relaxed: a unique-id counter; only atomicity matters. One
+        // fetch_add reserves the ids of the whole tree.
+        let root = self.next_span.fetch_add(n, Ordering::Relaxed);
+        let mut next = root;
+        let mut span = |parent_id, name: String, start_s, end_s, links| {
+            let span_id = next;
+            next += 1;
+            SpanRecord {
+                trace_id: trace.0,
+                span_id,
+                parent_id,
+                name,
+                start_s,
+                end_s,
+                links,
+            }
+        };
+        let mut spans = Vec::with_capacity(n as usize);
+        spans.push(span(None, "request".into(), t0, t3, Vec::new()));
+        spans.push(span(Some(root), "queue".into(), t0, t1, Vec::new()));
+        spans.push(span(
+            Some(root),
+            "search".into(),
+            t1,
+            t2,
+            batch.into_iter().collect(),
+        ));
         if let Some(gen) = gen {
             let gq = (t2 + gen.queue_s.max(0.0)).min(t3);
             let gp = (gq + gen.prefill_s.max(0.0)).min(t3);
             let gd = (gp + gen.decode_s.max(0.0)).min(t3);
-            for (name, start, end) in [
-                ("gen_queue", t2, gq),
-                ("gen_prefill", gq, gp),
-                ("gen_decode", gp, gd),
-            ] {
-                self.store.record(SpanRecord {
-                    trace_id: trace.0,
-                    span_id: self.next_span_id(),
-                    parent_id: Some(root),
-                    name: name.into(),
-                    start_s: start,
-                    end_s: end,
-                    links: Vec::new(),
-                });
-            }
+            spans.push(span(Some(root), "gen_queue".into(), t2, gq, Vec::new()));
+            spans.push(span(Some(root), "gen_prefill".into(), gq, gp, Vec::new()));
+            spans.push(span(Some(root), "gen_decode".into(), gp, gd, Vec::new()));
         }
         if let Some(reason) = shed {
-            self.store.record(SpanRecord {
-                trace_id: trace.0,
-                span_id: self.next_span_id(),
-                parent_id: Some(root),
-                name: format!("shed:{reason}"),
-                start_s: t3,
-                end_s: t3,
-                links: Vec::new(),
-            });
+            spans.push(span(
+                Some(root),
+                format!("shed:{reason}"),
+                t3,
+                t3,
+                Vec::new(),
+            ));
         }
+        self.store.record_trace(trace.0, spans, keep);
     }
 
     /// Records a migration/repartition span in its own trace, linked to
@@ -612,11 +582,8 @@ impl TracePlane {
     /// stalled batch's trace also gets a zero-width `stall:{name}` marker
     /// pointing back, so both directions are discoverable.
     ///
-    /// Returns the span's own trace id when recorded.
-    pub fn record_migration(&self, name: &str, start: SimTime, end: SimTime) -> Option<TraceId> {
-        if !self.enabled {
-            return None;
-        }
+    /// Returns the span's own trace id.
+    pub fn record_migration(&self, name: &str, start: SimTime, end: SimTime) -> TraceId {
         // relaxed: a unique-id counter; only atomicity matters.
         let n = self.next_migration.fetch_add(1, Ordering::Relaxed);
         let trace_id = derive_id(self.seed, 0x6d69_6772, n);
@@ -646,7 +613,7 @@ impl TracePlane {
                 links: vec![trace_id],
             });
         }
-        Some(TraceId(trace_id))
+        TraceId(trace_id)
     }
 
     /// All spans recorded for `trace_id`, if the trace is still held.
@@ -678,17 +645,7 @@ impl TracePlane {
         }
         let linked: Vec<Json> = linked_ids
             .iter()
-            .filter_map(|id| {
-                self.store.get(*id).map(|spans| {
-                    Json::Obj(vec![
-                        ("trace_id".into(), Json::Str(format_trace_id(*id))),
-                        (
-                            "spans".into(),
-                            Json::Arr(spans.iter().map(span_json).collect()),
-                        ),
-                    ])
-                })
-            })
+            .filter_map(|id| self.store.get(*id).map(|spans| tree_json(*id, &spans)))
             .collect();
         Some(Json::Obj(vec![
             ("trace_id".into(), Json::Str(format_trace_id(trace_id))),
@@ -698,6 +655,38 @@ impl TracePlane {
             ),
             ("linked".into(), Json::Arr(linked)),
         ]))
+    }
+
+    /// The `/v1/traces` document: the request trees in the recent ring and
+    /// in the kept set (`slow`: requests that were shed or missed a
+    /// target), oldest first, read under one store lock, plus the ids each
+    /// queue has evicted (the recent ring's count includes batch and
+    /// migration traces). Every listed id resolves at `/v1/trace/{id}`
+    /// until it is evicted.
+    pub fn traces_json(&self) -> Json {
+        let retained = self
+            .store
+            .retained(|spans| spans.first().is_some_and(|s| s.name == "request"));
+        let trees = |traces: &[(u128, Vec<SpanRecord>)]| {
+            Json::Arr(
+                traces
+                    .iter()
+                    .map(|(id, spans)| tree_json(*id, spans))
+                    .collect(),
+            )
+        };
+        Json::Obj(vec![
+            ("recent".into(), trees(&retained.recent)),
+            ("slow".into(), trees(&retained.kept)),
+            (
+                "recent_evicted".into(),
+                Json::Num(retained.recent_evicted as f64),
+            ),
+            (
+                "slow_evicted".into(),
+                Json::Num(retained.kept_evicted as f64),
+            ),
+        ])
     }
 
     /// The trace (plus linked traces) as a Chrome `trace_event` JSON
@@ -757,28 +746,16 @@ impl TracePlane {
 
     /// Opens a work section for `stage` at wall time `now`.
     pub fn stage_start(&self, stage: usize, now: SimTime) -> StageTimer {
-        if !self.enabled {
-            return StageTimer {
-                stage,
-                wall_start_nanos: 0,
-                cpu_start_nanos: 0,
-                live: false,
-            };
-        }
         StageTimer {
             stage,
             wall_start_nanos: now.as_nanos(),
             cpu_start_nanos: cputime::self_cpu_nanos(),
-            live: true,
         }
     }
 
     /// Closes a work section at wall time `now`, attributing wall + CPU
     /// time to the section's stage.
     pub fn stage_end(&self, timer: StageTimer, now: SimTime) {
-        if !timer.live {
-            return;
-        }
         let cell = &self.stages[timer.stage.min(PROFILE_STAGES.len() - 1)];
         let wall = now.as_nanos().saturating_sub(timer.wall_start_nanos);
         let cpu = cputime::self_cpu_nanos().saturating_sub(timer.cpu_start_nanos);
@@ -792,9 +769,6 @@ impl TracePlane {
     /// Registers the calling thread as a `stage` worker for the sampling
     /// profiler. Call once from each worker thread after spawn.
     pub fn register_worker(&self, stage: usize) {
-        if !self.enabled {
-            return;
-        }
         let Some(tid) = cputime::current_tid() else {
             return;
         };
@@ -807,9 +781,6 @@ impl TracePlane {
     /// stage. The background sampler calls this on a period (real clocks
     /// only); virtual-clock tests call it explicitly.
     pub fn sample_now(&self) {
-        if !self.enabled {
-            return;
-        }
         let mut registry = lock_recover(&self.registry);
         for (stage, tid, last) in registry.iter_mut() {
             let Some(cpu) = cputime::thread_cpu_nanos(*tid) else {
@@ -884,7 +855,6 @@ impl TracePlane {
             })
             .collect();
         Json::Obj(vec![
-            ("enabled".into(), Json::Bool(self.enabled)),
             (
                 "cpu_clock_supported".into(),
                 Json::Bool(cputime::supported()),
@@ -900,7 +870,7 @@ impl TracePlane {
     /// for `signal` at wall time `now`, returning the level transition if
     /// this observation caused one.
     pub fn observe_slo(&self, signal: usize, ok: bool, now: SimTime) -> Option<AlertTransition> {
-        if !self.enabled || signal >= SLO_SIGNALS.len() {
+        if signal >= SLO_SIGNALS.len() {
             return None;
         }
         let now_s = secs(now);
@@ -986,7 +956,6 @@ impl TracePlane {
             })
             .collect();
         Json::Obj(vec![
-            ("enabled".into(), Json::Bool(self.enabled)),
             ("fast_window_s".into(), Json::Num(self.fast_window_s)),
             ("slow_window_s".into(), Json::Num(self.slow_window_s)),
             ("warn_burn".into(), Json::Num(self.warn_burn)),
@@ -998,6 +967,17 @@ impl TracePlane {
 
 fn secs(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e9
+}
+
+/// One trace as `{trace_id, spans}`.
+fn tree_json(trace_id: u128, spans: &[SpanRecord]) -> Json {
+    Json::Obj(vec![
+        ("trace_id".into(), Json::Str(format_trace_id(trace_id))),
+        (
+            "spans".into(),
+            Json::Arr(spans.iter().map(span_json).collect()),
+        ),
+    ])
 }
 
 fn span_json(span: &SpanRecord) -> Json {
@@ -1068,7 +1048,7 @@ mod tests {
         let b = plane.derive_trace_id(2);
         assert_ne!(a, b);
 
-        let ctx = plane.begin_batch(&[a, b]).expect("tracing enabled");
+        let ctx = plane.begin_batch(&[a, b]);
         let t0 = SimTime::from_nanos(5_000_000);
         let t1 = SimTime::from_nanos(9_000_000);
         plane.record_scan(&ctx, "scan:shard0".into(), t0, t1);
@@ -1085,6 +1065,7 @@ mod tests {
                 },
                 None,
                 None,
+                false,
             );
         }
 
@@ -1119,14 +1100,12 @@ mod tests {
     fn migration_spans_link_the_stalled_batch_both_ways() {
         let plane = plane();
         let a = plane.derive_trace_id(7);
-        let ctx = plane.begin_batch(&[a]).expect("enabled");
-        let mig = plane
-            .record_migration(
-                "migration",
-                SimTime::from_nanos(1_000),
-                SimTime::from_nanos(2_000),
-            )
-            .expect("recorded");
+        let ctx = plane.begin_batch(&[a]);
+        let mig = plane.record_migration(
+            "migration",
+            SimTime::from_nanos(1_000),
+            SimTime::from_nanos(2_000),
+        );
         let mig_spans = plane.trace_spans(mig.0).expect("migration trace");
         assert!(mig_spans[0].links.contains(&ctx.trace_id));
         assert!(mig_spans[0].links.contains(&a.0));
@@ -1137,13 +1116,11 @@ mod tests {
         plane.end_batch(&ctx, SimTime::ZERO, SimTime::from_nanos(3_000));
 
         // With no batch in flight, a migration span records with no links.
-        let lone = plane
-            .record_migration(
-                "migration",
-                SimTime::from_nanos(4_000),
-                SimTime::from_nanos(5_000),
-            )
-            .expect("recorded");
+        let lone = plane.record_migration(
+            "migration",
+            SimTime::from_nanos(4_000),
+            SimTime::from_nanos(5_000),
+        );
         assert!(plane.trace_spans(lone.0).expect("held")[0].links.is_empty());
     }
 
@@ -1251,33 +1228,5 @@ mod tests {
             .expect("recovery transition");
         assert_eq!(transition.to, AlertLevel::Ok);
         assert!(transition.fast_burn < config.warn_burn);
-    }
-
-    #[test]
-    fn disabled_plane_records_nothing() {
-        let config = TraceConfig {
-            enabled: false,
-            ..TraceConfig::default()
-        };
-        let plane = TracePlane::new(&config, 3);
-        assert!(!plane.enabled());
-        assert!(plane.begin_batch(&[TraceId(1)]).is_none());
-        plane.record_request(
-            TraceId(1),
-            None,
-            RequestSpanTimes {
-                enqueued_s: 0.0,
-                search_start_s: 0.0,
-                search_end_s: 0.0,
-                end_s: 0.0,
-            },
-            None,
-            None,
-        );
-        assert!(plane.trace_spans(1).is_none());
-        assert_eq!(plane.observe_slo(SIG_SEARCH, false, SimTime::ZERO), None);
-        let timer = plane.stage_start(STAGE_BATCHER, SimTime::ZERO);
-        plane.stage_end(timer, SimTime::from_nanos(500));
-        assert_eq!(plane.profile()[STAGE_BATCHER].sections, 0);
     }
 }

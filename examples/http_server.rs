@@ -65,7 +65,7 @@ fn main() {
     println!("  GET  /v1/tenants   the tenant table");
     println!("  GET  /v1/report    full ServeReport as JSON");
     println!("  GET  /v1/metrics   live Prometheus text exposition (lock-free scrape)");
-    println!("  GET  /v1/traces    recent + slow per-request trace timelines");
+    println!("  GET  /v1/traces    recent + slow (shed or target-missing) request span trees");
     println!("  GET  /v1/events    the unified runtime event journal");
     println!("  POST /v1/search    body {{\"query\":[...]}}, X-Tenant header picks the tenant");
     println!("\ntry it:");

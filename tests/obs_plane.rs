@@ -5,9 +5,9 @@
 //! 1. After a run, every Prometheus-scraped counter equals the report's
 //!    total, and the stage histograms saw exactly one sample per
 //!    completed request (retrieval-only and co-scheduled).
-//! 2. The trace rings capture per-request waterfalls whose span boundaries
-//!    reproduce the delivered timings, and a zero slow-threshold routes
-//!    every trace into the slow ring.
+//! 2. Each co-scheduled request's one timeline, its span tree, chains its
+//!    stages end to start and reproduces the delivered timings: the
+//!    prefill span ends exactly one TTFT after admission.
 //! 3. An oracle recomputed from every delivered response's timings and hit
 //!    rate reproduces the report: counts, attainment (per tenant against
 //!    the tenant's own SLO), hit-rate means and deadline counters exactly,
@@ -21,7 +21,9 @@ use std::time::Duration;
 
 use vectorlite_rag::core::RealConfig;
 use vectorlite_rag::metrics::obs::StreamingHistogram;
+use vectorlite_rag::metrics::spans::tree_violations;
 use vectorlite_rag::metrics::{LatencyRecorder, Summary};
+use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::obs::Completion;
 use vectorlite_rag::serve::{
     DeadlinePolicy, GenerationConfig, ObsConfig, ObsPlane, RagServer, SearchResponse, ServeConfig,
@@ -141,8 +143,6 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
     let corpus = corpus();
     let mut config = config();
     config.generation = Some(GenerationConfig::tiny());
-    // Capture every request in the slow ring regardless of latency.
-    config.obs.slow_threshold_s = 0.0;
     let n = 32;
     let server = RagServer::start(&corpus, config).expect("server starts");
     let queries = corpus.queries(n, 29);
@@ -150,12 +150,16 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
         .iter()
         .map(|q| server.submit(q.to_vec()).expect("admitted"))
         .collect();
-    for ticket in tickets {
-        let response = ticket.wait().expect("server alive");
+    let responses: Vec<SearchResponse> = tickets
+        .into_iter()
+        .map(|ticket| ticket.wait().expect("server alive"))
+        .collect();
+    for response in &responses {
         assert!(response.timings.generation.is_some(), "co-scheduled reply");
     }
 
     let obs = server.obs_handle();
+    let trace = server.trace_handle();
     let report = server.shutdown();
     assert_eq!(report.completed, n as u64);
 
@@ -169,36 +173,45 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
         );
     }
 
-    // Every trace landed in both rings (threshold 0.0), with a waterfall
-    // whose boundaries reproduce the TTFT identity.
-    let recent = obs.recent_traces();
-    let slow = obs.slow_traces();
+    // Every request's tree is in the recent ring, listed by /v1/traces.
+    let listed = trace.traces_json();
+    let recent = listed
+        .get("recent")
+        .and_then(Json::as_array)
+        .expect("recent ring");
     assert_eq!(recent.len(), n);
-    assert_eq!(slow.len(), n);
-    for trace in &recent {
-        if trace.shed {
-            continue;
-        }
-        let span = |stage: &str| {
-            trace
-                .spans
+
+    // Each tree is well-formed, its stages chain end to start, and its
+    // boundaries reproduce the delivered timings: the prefill span ends at
+    // the first token, so gen_prefill.end - request.start == TTFT.
+    for response in &responses {
+        let spans = trace
+            .trace_spans(response.trace.0)
+            .unwrap_or_else(|| panic!("request {} has no span tree", response.id));
+        let violations = tree_violations(&spans);
+        assert!(violations.is_empty(), "{violations:?}");
+        let span = |name: &str| {
+            spans
                 .iter()
-                .find(|s| s.stage == stage)
-                .unwrap_or_else(|| panic!("trace {} missing span {stage}", trace.id))
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("request {} missing span {name}", response.id))
         };
-        // Cumulative offsets: each stage starts where the previous ended.
-        assert_eq!(span("queue").start_s, 0.0);
+        let request = span("request");
+        assert!((request.end_s - request.start_s - response.timings.e2e).abs() < 1e-9);
+        let gen = response.timings.generation.expect("co-scheduled reply");
+        assert_eq!(span("queue").start_s, request.start_s);
         assert_eq!(span("queue").end_s, span("search").start_s);
         assert_eq!(span("search").end_s, span("gen_queue").start_s);
-        assert_eq!(span("gen_queue").end_s, span("prefill").start_s);
-        assert_eq!(span("prefill").end_s, span("decode").start_s);
-        // first_token is a zero-length marker at the prefill boundary:
-        // ttft = queue + search + gen_queue + prefill.
-        let first = span("first_token");
-        assert_eq!(first.start_s, first.end_s);
-        assert!((first.start_s - span("prefill").end_s).abs() < 1e-9);
+        assert_eq!(span("gen_queue").end_s, span("gen_prefill").start_s);
+        assert_eq!(span("gen_prefill").end_s, span("gen_decode").start_s);
         assert!(
-            span("decode").end_s <= trace.e2e_s + 1e-9,
+            (span("gen_prefill").end_s - request.start_s - gen.ttft).abs() < 1e-9,
+            "request {}: prefill must end one TTFT ({}) after admission",
+            response.id,
+            gen.ttft
+        );
+        assert!(
+            span("gen_decode").end_s <= request.end_s + 1e-9,
             "decode must end by e2e"
         );
     }
@@ -358,13 +371,7 @@ fn report_matches_an_oracle_recomputed_from_every_response() {
 // proptest); together they pin "recording never serializes on a lock".
 #[test]
 fn concurrent_recording_with_live_scrapes_loses_nothing() {
-    let plane = Arc::new(ObsPlane::new(
-        &ObsConfig {
-            slow_threshold_s: 0.5,
-            ..ObsConfig::default()
-        },
-        1,
-    ));
+    let plane = Arc::new(ObsPlane::new(&ObsConfig::default(), 1));
     let writers = 8;
     let per_writer: u64 = 20_000;
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));

@@ -7,20 +7,26 @@
 //!    both client trace ids, per-shard scan spans nest under it, and
 //!    every span boundary is pinned to the exact virtual tick the round
 //!    ran at (no real time leaks into recorded spans).
-//! 2. `GET /v1/profile` reports nonzero per-stage CPU for the scan stage:
+//! 2. Tail retention: a request that missed its deadline stays in the
+//!    `slow` list of `GET /v1/traces` after more than `trace_capacity`
+//!    on-target requests churn the recent ring, every listed id resolves
+//!    at `GET /v1/trace/{id}`, and the store never holds more traces than
+//!    its two capacities.
+//! 3. `GET /v1/profile` reports nonzero per-stage CPU for the scan stage:
 //!    stage sections accrue real `CLOCK_THREAD_CPUTIME_ID` deltas even
 //!    while the wall clock is virtual, which is exactly the wall-vs-CPU
 //!    split the profiler exists to expose.
-//! 3. Span trees emitted by the plane are well-formed under proptest:
+//! 4. Span trees emitted by the plane are well-formed under proptest:
 //!    children nest within their parents and the batch span covers every
 //!    member's search span (the `tree_violations` checker is the oracle).
-//! 4. The Prometheus exposition is validated line by line — HELP/TYPE
+//! 5. The Prometheus exposition is validated line by line — HELP/TYPE
 //!    precede every family's samples, counters end in `_total`, label
 //!    values parse under the escaping rules — and its HELP/TYPE skeleton
 //!    is pinned by a golden file (`VLITE_UPDATE_GOLDEN=1` regenerates).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use vectorlite_rag::core::RealConfig;
@@ -29,7 +35,8 @@ use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::http::{wire, HttpClient, HttpFrontend};
 use vectorlite_rag::serve::trace::{GenSpans, RequestSpanTimes};
 use vectorlite_rag::serve::{
-    RagServer, ServeConfig, TraceConfig, TraceId, TracePlane, VirtualClock,
+    GenerationConfig, RagServer, ServeConfig, TenantId, TraceConfig, TraceId, TracePlane,
+    VirtualClock,
 };
 use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
@@ -307,6 +314,124 @@ fn co_batched_requests_share_a_batch_span_pinned_to_exact_ticks() {
     frontend.shutdown();
 }
 
+/// The `trace_id` strings of one `/v1/traces` list.
+fn listed_ids<'a>(traces: &'a Json, list: &str) -> Vec<&'a str> {
+    traces
+        .get(list)
+        .and_then(Json::as_array)
+        .unwrap_or_else(|| panic!("/v1/traces has no `{list}` array"))
+        .iter()
+        .map(|tree| {
+            tree.get("trace_id")
+                .and_then(Json::as_str)
+                .expect("listed tree carries its trace id")
+        })
+        .collect()
+}
+
+#[test]
+fn a_missed_request_outlives_a_flood_of_on_target_traces() {
+    let corpus = corpus();
+    let mut config = config();
+    let mut generation = GenerationConfig::tiny();
+    generation.slo_ttft = 10.0; // every undisturbed request meets TTFT
+    config.generation = Some(generation);
+    config.trace = TraceConfig {
+        trace_capacity: 8,
+        slow_traces: 2,
+        ..TraceConfig::default()
+    };
+    let held_bound = config.trace.trace_capacity + config.trace.slow_traces;
+    let clock = Arc::new(VirtualClock::new());
+    let server = RagServer::start_with_clock(&corpus, config.clone(), clock).expect("starts");
+    let frontend = HttpFrontend::bind(server, &config.http).expect("frontend binds");
+    let server = frontend.server();
+
+    // A 1 µs budget under the default measure-only policy: the request is
+    // served, but its reply leaves a whole prefill past its deadline.
+    let missed = server
+        .submit_with_deadline(
+            TenantId(0),
+            corpus.vectors.get(0).to_vec(),
+            Some(Duration::from_micros(1)),
+        )
+        .expect("admitted")
+        .wait()
+        .expect("measure-only policies never shed");
+    let missed_hex = missed.trace.to_string();
+
+    // More than `trace_capacity` on-target requests (each also opens a
+    // batch trace) churn the recent ring several times over.
+    for qi in 1..=3 * config.trace.trace_capacity {
+        let response = server
+            .submit(corpus.vectors.get(qi).to_vec())
+            .expect("admitted")
+            .wait()
+            .expect("served");
+        let gen = response.timings.generation.expect("generation ran");
+        assert!(gen.ttft <= 10.0, "followers meet their TTFT target");
+    }
+
+    let mut client = HttpClient::connect(frontend.addr()).expect("client connects");
+    let traces = get_json(&mut client, "/v1/traces", 200);
+    let slow = listed_ids(&traces, "slow");
+    let recent = listed_ids(&traces, "recent");
+    assert_eq!(
+        slow,
+        vec![missed_hex.as_str()],
+        "the missed request is kept"
+    );
+    assert!(
+        !recent.contains(&missed_hex.as_str()),
+        "the flood pushed the missed request out of the recent ring"
+    );
+    assert!(!recent.is_empty(), "the flood's requests are listed");
+    assert!(
+        traces
+            .get("recent_evicted")
+            .and_then(Json::as_u64)
+            .is_some_and(|n| n > 0),
+        "the recent ring evicted"
+    );
+    assert_eq!(traces.get("slow_evicted").and_then(Json::as_u64), Some(0));
+
+    // Every listed id resolves, and each tree is well-formed.
+    for id_hex in slow.iter().chain(&recent) {
+        let doc = get_json(&mut client, &format!("/v1/trace/{id_hex}"), 200);
+        assert!(
+            find_span(&doc, "request").is_some(),
+            "{id_hex} is a request"
+        );
+        let id = u128::from_str_radix(id_hex, 16).expect("hex trace id");
+        let spans = server.trace_plane().trace_spans(id).expect("held");
+        let violations = tree_violations(&spans);
+        assert!(violations.is_empty(), "{id_hex}: {violations:?}");
+    }
+    let kept = server
+        .trace_plane()
+        .trace_spans(missed.trace.0)
+        .expect("kept tree held");
+    assert!(
+        kept.iter().any(|s| s.name == "gen_decode"),
+        "the kept tree is the whole co-scheduled timeline"
+    );
+
+    // The store never holds more than its two capacities.
+    let metrics = client.get("/v1/metrics").expect("scrape");
+    let text = String::from_utf8(metrics.body).expect("UTF-8 exposition");
+    let held: f64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("vlite_traces_held "))
+        .expect("traces-held gauge")
+        .parse()
+        .expect("numeric gauge");
+    assert!(
+        held <= held_bound as f64,
+        "{held} traces held, over the {held_bound} bound"
+    );
+    frontend.shutdown();
+}
+
 #[test]
 fn profile_reports_scan_stage_cpu_and_watchdog_surfaces_render() {
     let corpus = corpus();
@@ -332,7 +457,6 @@ fn profile_reports_scan_stage_cpu_and_watchdog_surfaces_render() {
 
     let mut client = HttpClient::connect(frontend.addr()).expect("client connects");
     let profile = get_json(&mut client, "/v1/profile", 200);
-    assert_eq!(profile.get("enabled").and_then(Json::as_bool), Some(true));
     let stages = profile
         .get("stages")
         .and_then(Json::as_array)
@@ -373,7 +497,6 @@ fn profile_reports_scan_stage_cpu_and_watchdog_surfaces_render() {
     // The SLO burn-rate watchdog surface: all three signals report, each
     // with a level, multi-window burn rates, and the configured target.
     let alerts = get_json(&mut client, "/v1/alerts", 200);
-    assert_eq!(alerts.get("enabled").and_then(Json::as_bool), Some(true));
     let rows = alerts
         .get("alerts")
         .and_then(Json::as_array)
@@ -466,7 +589,7 @@ proptest! {
                     TraceId(uid)
                 })
                 .collect();
-            let ctx = plane.begin_batch(&members).expect("tracing enabled");
+            let ctx = plane.begin_batch(&members);
             for shard in 0..2 {
                 plane.record_scan(
                     &ctx,
@@ -506,6 +629,7 @@ proptest! {
                     },
                     gen,
                     None,
+                    false,
                 );
             }
             batches.push((members, ctx.trace_id));
